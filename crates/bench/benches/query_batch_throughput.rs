@@ -11,7 +11,7 @@ use traj_bench::{make_queries, make_store};
 fn query_batch_throughput(c: &mut Criterion) {
     let store = make_store(400);
     let queries = make_queries(&store, 32);
-    let mut session = traj_index::Session::build(store);
+    let session = traj_index::Session::build(store);
     let k = 10;
     let mut group = c.benchmark_group("query_batch_throughput");
     group.bench_function("sequential_knn", |b| {

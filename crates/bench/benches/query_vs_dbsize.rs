@@ -9,7 +9,7 @@ fn query_vs_dbsize(c: &mut Criterion) {
     for size in [100usize, 300, 900] {
         let store = make_store(size);
         let queries = make_queries(&store, 8);
-        let mut session = traj_index::Session::build(store);
+        let session = traj_index::Session::build(store);
         group.bench_with_input(BenchmarkId::new("knn_k10", size), &size, |b, _| {
             let mut i = 0usize;
             b.iter(|| {

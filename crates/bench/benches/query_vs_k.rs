@@ -10,7 +10,7 @@ use traj_index::Metric;
 fn query_vs_k(c: &mut Criterion) {
     let store = make_store(400);
     let queries = make_queries(&store, 8);
-    let mut session = traj_index::Session::build(store);
+    let session = traj_index::Session::build(store);
     let mut group = c.benchmark_group("query_vs_k");
     for k in [1usize, 5, 10, 25] {
         for (label, metric) in [("knn", Metric::Edwp), ("knn_norm", Metric::EdwpNormalized)] {

@@ -1,14 +1,15 @@
 //! Scatter-gather cost and benefit as the shard count grows, on a fixed
 //! database and workload. Three rows per shard count:
 //!
-//! * `single_knn` — one query, every shard root seeded into one best-first
-//!   forest queue (or descended on parallel workers sharing one atomic
-//!   threshold when threads > 1): cross-shard pruning keeps the exact-EDwP
-//!   count flat as shards grow, so wall time should stay near the 1-shard
-//!   row — `check_shard_regression` enforces this;
-//! * `batch_knn_t4` — 16 queries over 4 workers, one work item per query
-//!   with a per-batch bound cache shared across queries: on multi-core
-//!   runners higher shard counts expose more parallelism per query;
+//! * `single_knn` — one query (a batch of one), every shard root seeded
+//!   into one best-first forest queue, or split into one item per shard
+//!   on parallel workers sharing one atomic threshold when the machine has
+//!   more than one CPU: cross-shard pruning keeps the exact-EDwP count
+//!   flat as shards grow, so wall time should stay near the 1-shard row —
+//!   `check_shard_regression` enforces this;
+//! * `batch_knn_t4` — 16 distinct queries over 4 workers, one whole-query
+//!   forest item per query (16 ≥ 2 × 4 workers, so no per-shard split):
+//!   the row measures how the forest traversal scales with shards;
 //! * `insert` — one streaming insert (copy-on-write epoch publication):
 //!   more shards mean a smaller copied unit when snapshots are held.
 //!
@@ -24,7 +25,7 @@ fn query_vs_shards(c: &mut Criterion) {
     let queries = make_queries(&store, 16);
     let mut group = c.benchmark_group("query_vs_shards");
     for shards in [1usize, 2, 4, 8] {
-        let mut session = make_sharded_session(600, shards);
+        let session = make_sharded_session(600, shards);
         group.bench_with_input(BenchmarkId::new("single_knn", shards), &shards, |b, _| {
             let mut i = 0usize;
             b.iter(|| {

@@ -19,7 +19,7 @@ use traj_index::Session;
 fn query_vs_sub(c: &mut Criterion) {
     let store = make_store(400);
     let queries = make_sub_queries(&store, 16);
-    let mut session = Session::build(store);
+    let session = Session::build(store);
     let mut group = c.benchmark_group("query_vs_sub");
     let k = 10usize;
 

@@ -9,7 +9,7 @@ use traj_bench::{make_queries, make_store};
 fn range_vs_eps(c: &mut Criterion) {
     let store = make_store(400);
     let queries = make_queries(&store, 8);
-    let mut session = traj_index::Session::build(store);
+    let session = traj_index::Session::build(store);
     // Calibrate: the 10th-neighbour distance of the first probe query.
     let d10 = session.query(&queries[0]).knn(10).neighbors[9].distance;
     let mut group = c.benchmark_group("range_vs_eps");

@@ -64,6 +64,12 @@ pub enum TrajError {
         /// Human-readable description of the persistence failure.
         message: String,
     },
+    /// An insert needed more trajectory ids than the 32-bit id space has
+    /// left. Ids are issued from a monotone watermark and never reused, so
+    /// a database whose watermark reached the end of the id space accepts
+    /// no more inserts (queries and removals keep working); nothing of the
+    /// failed insert was logged or published.
+    IdSpaceExhausted,
 }
 
 impl fmt::Display for TrajError {
@@ -76,6 +82,9 @@ impl fmt::Display for TrajError {
             TrajError::Persist { message } => {
                 write!(f, "durable storage failure: {message}")
             }
+            TrajError::IdSpaceExhausted => {
+                write!(f, "trajectory id space exhausted: no ids left")
+            }
         }
     }
 }
@@ -84,7 +93,9 @@ impl std::error::Error for TrajError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TrajError::Core(e) => Some(e),
-            TrajError::UnknownId { .. } | TrajError::Persist { .. } => None,
+            TrajError::UnknownId { .. }
+            | TrajError::Persist { .. }
+            | TrajError::IdSpaceExhausted => None,
         }
     }
 }

@@ -163,7 +163,7 @@ fn make_fixture(config: &ExperimentConfig) -> Fixture {
 /// whole workload through the batch builder and require bit-identical
 /// answers.
 pub fn knn_experiment(config: ExperimentConfig) -> ExperimentReport {
-    let mut fx = make_fixture(&config);
+    let fx = make_fixture(&config);
     let mut all_stats: Vec<QueryStats> = Vec::with_capacity(config.queries);
     let mut sequential = Vec::with_capacity(config.queries);
     let mut exact = 0usize;
@@ -222,7 +222,7 @@ pub fn knn_experiment(config: ExperimentConfig) -> ExperimentReport {
 /// says how often the ball was wide enough to re-capture the query's
 /// original.
 pub fn range_experiment(config: ExperimentConfig, eps: f64) -> RangeReport {
-    let mut fx = make_fixture(&config);
+    let fx = make_fixture(&config);
     let mut all_stats: Vec<QueryStats> = Vec::with_capacity(config.queries);
     let mut sequential = Vec::with_capacity(config.queries);
     let mut exact = 0usize;

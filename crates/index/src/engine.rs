@@ -27,9 +27,10 @@
 //! scatter-gather search at once, each view's local ids rewritten to global
 //! ids as candidates are offered, so thresholds and tie-breaking work on
 //! the global id space and a close neighbour in shard 1 prunes shard 2's
-//! subtrees without ever walking the shards sequentially. The *parallel*
-//! scatter path instead runs one traversal per shard, all sharing one
-//! [`SharedThreshold`] through [`SharedKnnCollector`]: an atomic-`f64`
+//! subtrees without ever walking the shards sequentially. A query the
+//! scheduler splits into (query × shard) items instead runs one traversal
+//! per shard, all sharing one [`SharedThreshold`] through
+//! [`SharedKnnCollector`]: an atomic-`f64`
 //! minimum (bit-ordered `AtomicU64`, sound for non-negative distances) that
 //! every worker's kernels re-load mid-accumulation, so pruning crosses
 //! shard boundaries without serialising the walks. A stale read only ever
@@ -51,7 +52,6 @@
 //! it is the minimum over workers' *local* k-th-best distances, each of
 //! which is at least the true global k-th distance.
 
-use crate::cache::{BoundCache, BoundEntry};
 use crate::store::{TrajId, TrajStore};
 use crate::tree::{Node, TrajTree};
 use std::cmp::Ordering as CmpOrdering;
@@ -88,8 +88,9 @@ pub struct QueryStats {
     /// Tree nodes (internal + leaf) popped and refined.
     pub nodes_visited: usize,
     /// Lower-bound evaluations (node summaries + per-trajectory bounds).
-    /// Bounds answered from the per-batch cache are *not* counted — the
-    /// counter measures kernel work actually done.
+    /// Like every work counter it measures kernel work actually done: a
+    /// batch answers a bitwise repeat of an earlier query by copying that
+    /// answer, so the repeat adds to `queries` and `db_size` only.
     pub bound_evaluations: usize,
     /// Full EDwP dynamic programs evaluated — the expensive operation a
     /// linear scan performs `db_size` times per query.
@@ -254,6 +255,9 @@ pub(crate) trait Collector {
 
     /// Records one exact `(id, distance)` evaluation.
     fn offer(&mut self, id: TrajId, distance: f64);
+
+    /// The collected matches, sorted by ascending `(distance, id)`.
+    fn into_neighbors(self) -> Vec<Neighbor>;
 }
 
 /// k-NN collection: a bounded max-heap on `(distance, id)`. The root is the
@@ -270,16 +274,6 @@ impl KnnCollector {
             k,
             best: BinaryHeap::with_capacity(k.saturating_add(1)),
         }
-    }
-
-    /// The collected neighbours, sorted by ascending `(distance, id)`.
-    pub(crate) fn into_neighbors(self) -> Vec<Neighbor> {
-        sort_neighbors(
-            self.best
-                .into_iter()
-                .map(|(d, id)| Neighbor { id, distance: d.0 })
-                .collect(),
-        )
     }
 }
 
@@ -305,6 +299,15 @@ impl Collector for KnnCollector {
                 self.best.push(cand);
             }
         }
+    }
+
+    fn into_neighbors(self) -> Vec<Neighbor> {
+        sort_neighbors(
+            self.best
+                .into_iter()
+                .map(|(d, id)| Neighbor { id, distance: d.0 })
+                .collect(),
+        )
     }
 }
 
@@ -335,11 +338,6 @@ impl<'t> SharedKnnCollector<'t> {
             shared,
         }
     }
-
-    /// This shard's top-k partial, for the gather step.
-    pub(crate) fn into_neighbors(self) -> Vec<Neighbor> {
-        self.local.into_neighbors()
-    }
 }
 
 impl Collector for SharedKnnCollector<'_> {
@@ -358,6 +356,11 @@ impl Collector for SharedKnnCollector<'_> {
         self.local.offer(id, distance);
         self.shared.tighten(self.local.threshold());
     }
+
+    /// This shard's top-k partial, for the gather step.
+    fn into_neighbors(self) -> Vec<Neighbor> {
+        self.local.into_neighbors()
+    }
 }
 
 /// Range collection: keep everything within a fixed `eps` (inclusive).
@@ -373,11 +376,6 @@ impl RangeCollector {
             hits: Vec::new(),
         }
     }
-
-    /// The collected matches, sorted by ascending `(distance, id)`.
-    pub(crate) fn into_neighbors(self) -> Vec<Neighbor> {
-        sort_neighbors(self.hits)
-    }
 }
 
 impl Collector for RangeCollector {
@@ -389,6 +387,10 @@ impl Collector for RangeCollector {
         if distance <= self.eps {
             self.hits.push(Neighbor { id, distance });
         }
+    }
+
+    fn into_neighbors(self) -> Vec<Neighbor> {
+        sort_neighbors(self.hits)
     }
 }
 
@@ -406,10 +408,9 @@ pub(crate) fn sort_neighbors(mut neighbors: Vec<Neighbor>) -> Vec<Neighbor> {
 /// tombstoned members. Delta members occupy the local ids `store.len() ..`
 /// in buffer order.
 ///
-/// `globals` is the ascending global id of each base slot (`None` for the
-/// borrowed single-store path, whose local ids *are* the global ids);
-/// `dead` is the shard's tombstone set (`None` when nothing was ever
-/// removed). Node summaries still cover dead members — a superset bound
+/// `globals` is the ascending global id of each base slot; `dead` is the
+/// shard's tombstone set (`None` when nothing was ever removed). Node
+/// summaries still cover dead members — a superset bound
 /// is admissible — so the traversal consults `is_dead` only where a
 /// member could actually reach a collector: leaf refinement, delta
 /// seeding, and the brute-scan fallback.
@@ -417,9 +418,8 @@ pub(crate) struct SearchView<'v> {
     pub(crate) tree: &'v TrajTree,
     pub(crate) store: &'v TrajStore,
     pub(crate) delta: &'v [(TrajId, Trajectory)],
-    pub(crate) globals: Option<&'v [TrajId]>,
+    pub(crate) globals: &'v [TrajId],
     pub(crate) dead: Option<&'v BTreeSet<TrajId>>,
-    pub(crate) shard: usize,
 }
 
 impl SearchView<'_> {
@@ -428,10 +428,7 @@ impl SearchView<'_> {
     pub(crate) fn global(&self, local: TrajId) -> TrajId {
         let base = self.store.len() as TrajId;
         if local < base {
-            match self.globals {
-                Some(g) => g[local as usize],
-                None => local,
-            }
+            self.globals[local as usize]
         } else {
             self.delta[(local - base) as usize].0
         }
@@ -465,18 +462,6 @@ impl SearchView<'_> {
             &self.delta[(local - base) as usize].1
         }
     }
-}
-
-/// Hook for the per-batch bound cache: which cache to consult and the
-/// querying trajectory's canonical index (see
-/// [`crate::cache::canonical_queries`]). Only node-summary bounds go
-/// through the cache — they are the shareable unit (stable node ids,
-/// repeated across a batch's items); per-trajectory refinement bounds are
-/// each needed at most once per (query, trajectory).
-#[derive(Clone, Copy)]
-pub(crate) struct BoundReuse<'b> {
-    pub(crate) cache: &'b BoundCache,
-    pub(crate) query: u32,
 }
 
 /// Priority-queue entry: a subtree or a single trajectory of one view,
@@ -522,51 +507,25 @@ pub(crate) struct Matching {
     pub(crate) mode: QueryMode,
 }
 
-/// A node-summary bound, through the per-batch cache when one is active.
-///
-/// Cache discipline (see `cache.rs` for why): a `full` entry answers
-/// unconditionally; a partial entry answers only when it already prunes
-/// for this caller (`value > threshold` — admissible, so pruning on it is
-/// sound); otherwise the kernel runs and the entry is (re)recorded.
-/// Fullness is certified post-hoc: the raw metric's bounded contract says
-/// a result at or below the cutoff's *current* value never bailed
-/// (cutoffs only tighten, so the final value is the strictest any bail
-/// compared against); the normalised metric's rescaling breaks that
-/// implication, so its results are full only under an infinite cutoff.
-/// Cache hits skip `bump_bounds` — the counter measures kernel work done,
-/// so the saving is visible in collected stats.
-#[allow(clippy::too_many_arguments)]
+/// A node-summary bound under the collector's live cutoff.
 fn node_bound<C: Collector>(
-    view: &SearchView<'_>,
     node: &Node,
     query: &Trajectory,
     matching: Matching,
     collector: &C,
     scratch: &mut EdwpScratch,
     stats: &mut QueryStats,
-    reuse: Option<BoundReuse<'_>>,
 ) -> f64 {
     let Matching { metric, mode } = matching;
-    let key = reuse.map(|r| (view.shard as u32, node.id(), r.query));
-    if let (Some(r), Some(key)) = (reuse, key) {
-        if let Some(e) = r.cache.get(key) {
-            if e.full || e.value > collector.threshold() {
-                return e.value;
-            }
-        }
-    }
     stats.bump_bounds();
-    let cutoff = collector.cutoff();
-    let value =
-        metric.lower_bound_boxes(mode, query, node.summary(), node.max_len(), cutoff, scratch);
-    if let (Some(r), Some(key)) = (reuse, key) {
-        let full = match metric {
-            Metric::Edwp => value <= cutoff.current(),
-            Metric::EdwpNormalized => cutoff.current() == f64::INFINITY,
-        };
-        r.cache.put(key, BoundEntry { value, full });
-    }
-    value
+    metric.lower_bound_boxes(
+        mode,
+        query,
+        node.summary(),
+        node.max_len(),
+        collector.cutoff(),
+        scratch,
+    )
 }
 
 /// The overall bounding box of a summary sequence: the union fold of its
@@ -609,9 +568,7 @@ fn gather_child_boxes(children: &[Node], out: &mut Vec<StBox>) -> bool {
 /// one of its trajectories inserted (a store id never indexed is invisible
 /// to the search). `scratch` is the worker's pooled kernel memory; the
 /// query is (re)pinned here, so one scratch can serve many consecutive
-/// searches. `reuse` optionally routes node bounds through a per-batch
-/// [`BoundCache`].
-#[allow(clippy::too_many_arguments)]
+/// searches.
 pub(crate) fn best_first<C: Collector>(
     views: &[SearchView<'_>],
     query: &Trajectory,
@@ -619,7 +576,6 @@ pub(crate) fn best_first<C: Collector>(
     collector: &mut C,
     scratch: &mut EdwpScratch,
     stats: &mut QueryStats,
-    reuse: Option<BoundReuse<'_>>,
 ) {
     let Matching { metric, mode } = matching;
     scratch.set_query(query);
@@ -653,9 +609,7 @@ pub(crate) fn best_first<C: Collector>(
     // tighten, so the pruning decision can never be invalidated later).
     for (vi, view) in views.iter().enumerate() {
         if let Some(root) = view.tree.root.as_ref() {
-            let root_key = node_bound(
-                view, root, query, matching, collector, scratch, stats, reuse,
-            );
+            let root_key = node_bound(root, query, matching, collector, scratch, stats);
             push(
                 &mut queue,
                 &mut seq,
@@ -668,8 +622,7 @@ pub(crate) fn best_first<C: Collector>(
         // polyline bound. From here they compete in the same queue under
         // the same threshold and the same exact-distance refinement as
         // tree-routed candidates, so a shard mid-delta answers bitwise
-        // identically to one whose tree covers everything. Never routed
-        // through the bound cache — cache keys are stable *node* ids.
+        // identically to one whose tree covers everything.
         let base = view.store.len() as TrajId;
         for (di, (gid, t)) in view.delta.iter().enumerate() {
             if view.dead.is_some_and(|d| d.contains(gid)) {
@@ -766,9 +719,7 @@ pub(crate) fn best_first<C: Collector>(
                                     continue;
                                 }
                             }
-                            let lb = node_bound(
-                                view, child, query, matching, collector, scratch, stats, reuse,
-                            );
+                            let lb = node_bound(child, query, matching, collector, scratch, stats);
                             // Clamp to the parent key: both are valid
                             // bounds, and monotone keys keep the traversal
                             // order stable.

@@ -29,42 +29,41 @@
 //!   per-trajectory polyline bounds into exact EDwP evaluations. One
 //!   traversal serves a whole *forest* of shard views — all roots seeded
 //!   into one queue, so an incumbent found in any shard prunes every
-//!   other shard's subtrees — and the parallel scatter path runs one
+//!   other shard's subtrees — and a query split per shard runs one
 //!   traversal per shard against a shared atomic threshold instead. The
 //!   traversal is generic over a result *collector*, which supplies the
-//!   pruning threshold and absorbs exact distances; the `cache` module
-//!   adds a per-batch `(shard, node, query)` bound cache so repeated
-//!   probes stop recomputing identical node bounds.
+//!   pruning threshold and absorbs exact distances.
 //! * The `session` module is the public query surface: a [`Session`] owns
-//!   the shards and pooled scratch, and every query is phrased through the
+//!   the shards, and every query is phrased through the
 //!   typed [`QueryBuilder`] / [`BatchQueryBuilder`] —
 //!   `session.query(&q).knn(10)`, `.range(eps)`,
 //!   `session.query(&q).sub().knn(k)` (sub-trajectory matching),
 //!   `session.batch(&qs).threads(4).knn(k)` — with modifiers for the
 //!   [`traj_dist::Metric`] (raw vs length-normalised EDwP), the
 //!   [`traj_dist::QueryMode`] (whole vs best-portion `EDwP_sub`), the
-//!   brute-force reference, and [`QueryStats`] collection. Queries
-//!   scatter-gather: single queries run either one forest traversal over
-//!   all shards (one collector, one global threshold) or — when worker
-//!   threads are available — one per-shard descent per worker, all
-//!   tightening one shared atomic threshold; batch finishers schedule
-//!   work items over scoped worker threads via a work-stealing cursor
-//!   (one [`traj_dist::EdwpScratch`] per worker, node bounds shared
-//!   through the per-batch cache) and merge per-shard partials — results
-//!   are bitwise identical to a sequential single-shard loop at any shard
-//!   and thread count.
+//!   brute-force reference, and [`QueryStats`] collection. One scheduler
+//!   runs every finisher (a single query is a batch of one): it answers
+//!   each bitwise-distinct query of a batch once and copies the answer
+//!   into its repeats, then schedules work items over scoped worker
+//!   threads via a work-stealing cursor — one forest traversal over all
+//!   shards per query (one collector, one global threshold), or, when
+//!   there are too few queries to occupy the workers, one per-shard
+//!   descent per item, all tightening one shared atomic threshold — and
+//!   merges per-shard partials. Each thread pools one
+//!   [`traj_dist::EdwpScratch`]. Results are bitwise identical to a
+//!   sequential single-shard loop at any shard and thread count.
 //!
 //! # Adding a new query type
 //!
-//! 1. Write a collector implementing the engine's two-method contract:
+//! 1. Write a collector implementing the engine's contract:
 //!    `threshold()` (the largest lower bound that could still matter — it
-//!    must never undershoot) and `offer(id, distance)` (absorb one exact
-//!    evaluation; ids arrive pre-routed to the global space).
+//!    must never undershoot), `offer(id, distance)` (absorb one exact
+//!    evaluation; ids arrive pre-routed to the global space) and
+//!    `into_neighbors()` (the sorted matches).
 //! 2. Add a finisher on [`QueryBuilder`] (and [`BatchQueryBuilder`]) that
-//!    carries the query type's parameter, instantiates your collector and
-//!    hands it to the shared single-query executor — see
-//!    `QueryBuilder::range` in `session.rs` for the ~10-line shape. Batch,
-//!    brute-force and multi-shard support come with the executor for free
+//!    carries the query type's parameter, and teach the scheduler's item
+//!    runner (`search` in `session.rs`) to instantiate your collector. Batch, brute-force and
+//!    multi-shard support come with the scheduler for free
 //!    (for k-NN-like collectors, also teach the batch gather step how to
 //!    merge per-shard partials).
 //!
@@ -85,7 +84,6 @@
 
 #![warn(missing_docs)]
 
-mod cache;
 mod engine;
 mod session;
 mod shard;

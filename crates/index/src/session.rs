@@ -16,36 +16,35 @@
 //! `threads` exists only on the batch builder, so a single query cannot be
 //! given a worker count.
 //!
-//! # Scatter-gather
+//! # One scheduler
 //!
-//! Every query scatters over the shards and merges through the shared
-//! collectors, by one of two strategies that return bitwise-identical
-//! results:
+//! Every finisher runs through one scheduler; a single query is a batch of
+//! one. The scheduler first maps the batch to its bitwise-distinct queries
+//! and runs each once: a repeat gets a clone of its first occurrence's
+//! answer and adds only `queries` and `db_size` to the merged
+//! [`QueryStats`]. It then cuts the distinct queries into work items, by
+//! one of two strategies that return bitwise-identical results:
 //!
-//! * the **forest** traversal seeds every shard's root into *one*
+//! * a **whole-query** item seeds every shard's root into *one*
 //!   best-first queue with one collector — a single global threshold, so
 //!   an incumbent found in any shard prunes every other shard's subtrees
-//!   and total work matches a one-shard search (the default for single
-//!   queries without spare CPUs, and the per-query unit of large
-//!   batches);
-//! * the **parallel** scatter runs one per-shard descent per worker
-//!   thread, every k-NN collector tightening one shared atomic threshold
-//!   (see `engine::SharedThreshold`), so the same cross-shard pruning
-//!   happens without serialising the walks (the default for single
-//!   queries with CPUs to spare; forced either way with
-//!   [`QueryBuilder::parallel_scatter`]).
+//!   and total work matches a one-shard search. Used when there is one
+//!   shard, one worker, or at least two distinct queries per worker;
+//! * otherwise a query splits into one **(query × shard)** item per shard,
+//!   every k-NN collector of the query tightening one shared atomic
+//!   threshold (see `engine::SharedThreshold`), so the same cross-shard
+//!   pruning happens without serialising the walks. The gather step merges
+//!   each query's per-shard partials (sorted by `(distance, id)`,
+//!   truncated to `k` for k-NN) — a shard's own top-k is a superset of its
+//!   contribution to the global top-k, so the merge is exact.
 //!
-//! Batch finishers schedule work items over scoped workers through a
-//! work-stealing cursor (one [`EdwpScratch`] per worker): whole queries
-//! when the batch is large enough to occupy every worker, (query × shard)
-//! splits — with one shared threshold per query — when it is not. All
-//! items of a batch share a `(shard, node, query)` bound cache
-//! (`cache::BoundCache`), so repeated probes stop recomputing identical
-//! node bounds. The gather step merges each query's per-shard partials
-//! (sorted by `(distance, id)`, truncated to `k` for k-NN) — a shard's
-//! own top-k is a superset of its contribution to the global top-k, so
-//! the merge is exact — and [`QueryStats::merge`] aggregates per-item
-//! counters (saturating; `db_size` partials sum to the database total).
+//! [`QueryBuilder::parallel_scatter`] forces the choice for a single
+//! query. Workers pull items off a work-stealing cursor; the caller thread
+//! is the first worker, so a run spawns only `workers − 1` scoped threads.
+//! Every thread pools one [`EdwpScratch`] in a thread-local, so queries
+//! need no exclusive borrow and no caller-owned scratch.
+//! [`QueryStats::merge`] aggregates per-item counters (saturating;
+//! `db_size` partials sum to the database total).
 //!
 //! Either way the result is **bitwise identical** to a single-shard
 //! sequential session: distances come from the same kernels on the same
@@ -53,15 +52,15 @@
 //! across the shards × query type × threads × metric × scatter-strategy
 //! grid in `tests/builder_equivalence.rs`.
 
-use crate::cache::{canonical_queries, BoundCache};
 use crate::engine::{
-    best_first, sort_neighbors, BoundReuse, Collector, KnnCollector, Matching, Neighbor,
-    QueryStats, RangeCollector, SearchView, SharedKnnCollector, SharedThreshold,
+    best_first, sort_neighbors, Collector, KnnCollector, Matching, Neighbor, QueryStats,
+    RangeCollector, SearchView, SharedKnnCollector, SharedThreshold,
 };
 use crate::shard::{shard_of, Shard, Snapshot};
 use crate::store::{TrajId, TrajStore};
 use crate::tree::{TrajTree, TrajTreeConfig};
-use std::collections::BTreeSet;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -95,6 +94,9 @@ pub struct BatchQueryResult {
     /// Merged work counters (`QueryStats::queries` counts the batch,
     /// `QueryStats::db_size` sums the per-query database sizes) —
     /// `Some` iff the builder asked for [`BatchQueryBuilder::collect_stats`].
+    /// Each distinct query's work is counted once: a bitwise repeat of an
+    /// earlier query in the batch is answered by copying that answer, so
+    /// it adds to `queries` and `db_size` but not to the work counters.
     pub stats: Option<QueryStats>,
 }
 
@@ -105,65 +107,6 @@ struct Spec {
     mode: QueryMode,
     brute_force: bool,
     collect_stats: bool,
-}
-
-/// What a builder searches: either borrowed store + tree (the
-/// [`QueryBuilder::over`] entry point, always one shard) or an owned
-/// [`Snapshot`] epoch of a sharded session.
-#[derive(Debug)]
-enum Source<'a> {
-    Borrowed {
-        tree: &'a TrajTree,
-        store: &'a TrajStore,
-    },
-    Sharded(Snapshot),
-}
-
-impl Source<'_> {
-    /// Database size reported in [`QueryStats::db_size`] and used to clamp
-    /// `k`. For the borrowed source this preserves the historical
-    /// distinction (brute force scans the store, index searches see the
-    /// tree); sharded sessions keep store and tree in sync per shard, so
-    /// the snapshot total serves both.
-    fn total_len(&self, brute_force: bool) -> usize {
-        match self {
-            Source::Borrowed { tree, store } => {
-                if brute_force {
-                    store.len()
-                } else {
-                    tree.len()
-                }
-            }
-            Source::Sharded(snap) => snap.len(),
-        }
-    }
-
-    /// The shard views a query scatters over, in shard order.
-    fn views(&self) -> Vec<SearchView<'_>> {
-        match self {
-            Source::Borrowed { tree, store } => vec![SearchView {
-                tree,
-                store,
-                delta: &[],
-                globals: None,
-                dead: None,
-                shard: 0,
-            }],
-            Source::Sharded(snap) => snap
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(shard, s)| SearchView {
-                    tree: s.tree(),
-                    store: s.base(),
-                    delta: s.delta(),
-                    globals: Some(s.base_globals()),
-                    dead: (!s.dead().is_empty()).then(|| s.dead()),
-                    shard,
-                })
-                .collect(),
-        }
-    }
 }
 
 /// Default delta-merge threshold: how many buffered inserts a shard
@@ -228,9 +171,8 @@ fn build_shards(
     }
 }
 
-/// A sharded trajectory database, its per-shard TrajTree indexes and
-/// pooled kernel memory behind one handle — the recommended owner of the
-/// query surface.
+/// A sharded trajectory database and its per-shard TrajTree indexes
+/// behind one handle — the recommended owner of the query surface.
 ///
 /// The shard count is fixed at build time ([`SessionBuilder::shards`],
 /// default 1) and is invisible in results: queries scatter-gather over all
@@ -247,7 +189,7 @@ fn build_shards(
 /// let mut store = TrajStore::new();
 /// store.insert(Trajectory::from_xy(&[(0.0, 0.0), (10.0, 0.0)]));
 /// store.insert(Trajectory::from_xy(&[(0.0, 50.0), (10.0, 50.0)]));
-/// let mut session = Session::build(store);
+/// let session = Session::build(store);
 ///
 /// let q = Trajectory::from_xy(&[(0.0, 1.0), (10.0, 1.0)]);
 /// let nearest = session.query(&q).knn(1);
@@ -270,12 +212,13 @@ pub struct Session {
     shards: RwLock<Arc<Vec<Arc<Shard>>>>,
     /// Watermark the next insert's global id is issued from — monotone,
     /// so ids are never reused: once a trajectory is removed its id is
-    /// retired forever. Mutated only under the writer lock (the atomic is
-    /// for lock-free reads; `Relaxed` suffices since the writer lock
-    /// orders every mutation).
+    /// retired forever. An id is issued only if the watermark past it
+    /// still fits, so `u32::MAX` means the id space is exhausted (every
+    /// insert fails with [`TrajError::IdSpaceExhausted`]). Mutated only
+    /// under the writer lock (the atomic is for lock-free reads; `Relaxed`
+    /// suffices since the writer lock orders every mutation).
     next_id: AtomicU32,
     config: TrajTreeConfig,
-    scratch: EdwpScratch,
     /// Delta-merge threshold: a shard folds its delta buffer into its
     /// tree once the buffer holds this many trajectories
     /// ([`SessionBuilder::delta_merge_threshold`], clamped >= 1).
@@ -312,7 +255,6 @@ impl Clone for Session {
             shards: RwLock::new(self.snapshot().shards),
             next_id: AtomicU32::new(self.next_id.load(Ordering::Relaxed)),
             config: self.config.clone(),
-            scratch: EdwpScratch::new(),
             delta_threshold: self.delta_threshold,
             writer: Mutex::new(()),
             durable: None,
@@ -351,7 +293,6 @@ impl Session {
             shards: RwLock::new(Arc::new(vec![shard])),
             next_id: AtomicU32::new(next_id),
             config,
-            scratch: EdwpScratch::new(),
             delta_threshold: DELTA_MERGE_THRESHOLD,
             writer: Mutex::new(()),
             durable: None,
@@ -418,12 +359,15 @@ impl Session {
     /// [`DurabilityConfig::compact_after_records`] threshold, the insert
     /// first folds it into a fresh snapshot (see [`Session::compact`]).
     ///
-    /// In-memory sessions never return `Err`. For bulk ingestion prefer
+    /// Fails with [`TrajError::IdSpaceExhausted`] — before anything is
+    /// logged or published — once the 32-bit id space is used up. Apart
+    /// from that, in-memory sessions never return `Err`. For bulk ingestion prefer
     /// [`Session::insert_batch`], which amortises the WAL fsync and the
     /// epoch publication over the whole batch.
     pub fn insert(&self, t: Trajectory) -> Result<TrajId, TrajError> {
         let _writer = self.writer.lock().expect("session writer lock poisoned");
         let id = self.next_id.load(Ordering::Relaxed);
+        let next = self.next_watermark(1)?;
         self.log_and_maybe_compact(std::slice::from_ref(&t))?;
         let mut guard = self.shards.write().expect("shard epoch lock poisoned");
         let n = guard.len();
@@ -431,8 +375,18 @@ impl Session {
         let shard = Arc::make_mut(&mut state[shard_of(id, n)]);
         shard.insert(id, t, self.delta_threshold);
         drop(guard);
-        self.next_id.store(id + 1, Ordering::Relaxed);
+        self.next_id.store(next, Ordering::Relaxed);
         Ok(id)
+    }
+
+    /// The watermark after issuing `count` more ids, or
+    /// [`TrajError::IdSpaceExhausted`] when that would not fit. Called
+    /// under the writer lock, before anything is logged or published.
+    fn next_watermark(&self, count: usize) -> Result<TrajId, TrajError> {
+        u32::try_from(count)
+            .ok()
+            .and_then(|count| self.next_id.load(Ordering::Relaxed).checked_add(count))
+            .ok_or(TrajError::IdSpaceExhausted)
     }
 
     /// Adds a whole batch of trajectories, returning their consecutive
@@ -449,7 +403,9 @@ impl Session {
     /// * one epoch is published for the whole batch, so readers see it
     ///   atomically: every trajectory of the batch or none.
     ///
-    /// `Err` means nothing was published in memory. On disk the same
+    /// `Err` means nothing was published in memory; an
+    /// [`TrajError::IdSpaceExhausted`] error (the batch needs more ids
+    /// than the id space has left) also means nothing was logged. On disk the same
     /// exposure class as a crash applies: a prefix of the group may
     /// survive in the log (it is a valid prefix — recovery replays it),
     /// exactly as if the process had crashed mid-batch.
@@ -459,8 +415,9 @@ impl Session {
         }
         let _writer = self.writer.lock().expect("session writer lock poisoned");
         let base = self.next_id.load(Ordering::Relaxed);
+        let next = self.next_watermark(batch.len())?;
         self.log_and_maybe_compact(&batch)?;
-        let ids: Vec<TrajId> = (0..batch.len() as TrajId).map(|i| base + i).collect();
+        let ids: Vec<TrajId> = (base..next).collect();
         // Route by destination shard. The shard count is stable here: only
         // `reshard` changes it and it also takes the writer lock, so a
         // momentary epoch read gives this batch's routing denominator.
@@ -505,8 +462,7 @@ impl Session {
             }
         }
         drop(guard);
-        self.next_id
-            .store(base + ids.len() as u32, Ordering::Relaxed);
+        self.next_id.store(next, Ordering::Relaxed);
         Ok(ids)
     }
 
@@ -748,30 +704,20 @@ impl Session {
         traj_dist::Isa::current().name()
     }
 
-    /// Starts a single query against the current epoch. The builder runs
-    /// on the session's pooled scratch, so consecutive queries are
-    /// allocation-free inside the distance kernels.
+    /// Starts a single query against the current epoch. Takes `&self`:
+    /// any number of threads can query one session concurrently (and
+    /// alongside a writer), each on its own thread's pooled kernel
+    /// scratch, so consecutive queries are allocation-free inside the
+    /// distance kernels.
     ///
     /// Finish with [`QueryBuilder::knn`] or [`QueryBuilder::range`].
-    pub fn query<'s>(&'s mut self, query: &'s Trajectory) -> QueryBuilder<'s> {
-        let Session {
-            shards, scratch, ..
-        } = self;
-        let snap = Snapshot {
-            shards: shards.get_mut().expect("shard epoch lock poisoned").clone(),
-        };
-        QueryBuilder {
-            source: Source::Sharded(snap),
-            query,
-            scratch: Some(scratch),
-            parallel: None,
-            spec: Spec::default(),
-        }
+    pub fn query<'s>(&self, query: &'s Trajectory) -> QueryBuilder<'s> {
+        self.snapshot().query(query)
     }
 
     /// Starts a batch of queries against the epoch current *now* (the
-    /// whole batch reads one consistent epoch even while inserts land);
-    /// workers pool one scratch each. Finish with
+    /// whole batch reads one consistent epoch even while inserts land).
+    /// Finish with
     /// [`BatchQueryBuilder::knn`] or [`BatchQueryBuilder::range`].
     pub fn batch<'s>(&self, queries: &'s [Trajectory]) -> BatchQueryBuilder<'s> {
         self.snapshot().batch(queries)
@@ -837,6 +783,10 @@ impl SessionBuilder {
     /// when the directory holds snapshots but none verifies, when a
     /// checksum-valid record will not decode, or on I/O failure — never by
     /// panicking, and never by silently starting empty over damaged data.
+    ///
+    /// A stored id watermark is never truncated: one past the 32-bit id
+    /// space opens the database for queries and removals only, with every
+    /// insert failing [`TrajError::IdSpaceExhausted`].
     pub fn open(self, dir: impl AsRef<Path>) -> Result<Session, TrajError> {
         let (recovered, engine) = StorageEngine::open(dir.as_ref(), self.durability)?;
         let stored_shards = recovered.snapshot_shards.max(1);
@@ -854,9 +804,8 @@ impl SessionBuilder {
                 &self.config,
                 false,
             ))),
-            next_id: AtomicU32::new(recovered.next_id as u32),
+            next_id: AtomicU32::new(u32::try_from(recovered.next_id).unwrap_or(u32::MAX)),
             config: self.config,
-            scratch: EdwpScratch::new(),
             delta_threshold: self.delta_threshold.unwrap_or(DELTA_MERGE_THRESHOLD),
             writer: Mutex::new(()),
             durable: Some(Mutex::new(engine)),
@@ -926,7 +875,6 @@ impl SessionBuilder {
             shards: RwLock::new(Arc::new(shards)),
             next_id: AtomicU32::new(next_id),
             config,
-            scratch: EdwpScratch::new(),
             delta_threshold: delta_threshold.unwrap_or(DELTA_MERGE_THRESHOLD),
             writer: Mutex::new(()),
             durable: None,
@@ -935,25 +883,22 @@ impl SessionBuilder {
 }
 
 impl Snapshot {
-    /// Starts a single query against this epoch (a fresh kernel scratch
-    /// per finisher unless [`QueryBuilder::scratch`] supplies a pooled
-    /// one). Unlike [`Session::query`], this needs no exclusive borrow, so
-    /// any number of reader threads can query one epoch concurrently.
+    /// Starts a single query against this epoch. Any number of reader
+    /// threads can query one epoch concurrently; each runs on its own
+    /// thread's pooled kernel scratch.
     pub fn query<'s>(&self, query: &'s Trajectory) -> QueryBuilder<'s> {
         QueryBuilder {
-            source: Source::Sharded(self.clone()),
+            snap: self.clone(),
             query,
-            scratch: None,
             parallel: None,
             spec: Spec::default(),
         }
     }
 
-    /// Starts a batch of queries against this epoch; workers pool one
-    /// scratch each.
+    /// Starts a batch of queries against this epoch.
     pub fn batch<'s>(&self, queries: &'s [Trajectory]) -> BatchQueryBuilder<'s> {
         BatchQueryBuilder {
-            source: Source::Sharded(self.clone()),
+            snap: self.clone(),
             queries,
             threads: None,
             spec: Spec::default(),
@@ -961,62 +906,41 @@ impl Snapshot {
     }
 }
 
-/// Builder for one query; construct via [`Session::query`],
-/// [`Snapshot::query`], or [`QueryBuilder::over`] when store and tree are
-/// owned elsewhere; chain modifiers, and finish with [`QueryBuilder::knn`]
-/// or [`QueryBuilder::range`].
+/// Builder for one query; construct via [`Session::query`] or
+/// [`Snapshot::query`], chain modifiers, and finish with
+/// [`QueryBuilder::knn`] or [`QueryBuilder::range`]. A single query runs
+/// through the batch scheduler as a batch of one.
 ///
 /// ```
 /// use traj_core::Trajectory;
-/// use traj_index::{QueryBuilder, TrajStore, TrajTree};
+/// use traj_index::{Session, TrajStore, TrajTree};
 ///
 /// let mut store = TrajStore::new();
 /// store.insert(Trajectory::from_xy(&[(0.0, 0.0), (5.0, 0.0)]));
 /// let tree = TrajTree::build(&store);
+/// // Wrap a store and a tree built elsewhere as a one-shard session.
+/// let session = Session::from_parts(store, tree);
 /// let q = Trajectory::from_xy(&[(0.0, 2.0), (5.0, 2.0)]);
-/// // Borrowed entry point: no Session required.
-/// let hits = QueryBuilder::over(&tree, &store, &q).range(100.0);
+/// let hits = session.query(&q).range(100.0);
 /// assert_eq!(hits.neighbors.len(), 1);
 /// ```
 #[derive(Debug)]
 pub struct QueryBuilder<'a> {
-    source: Source<'a>,
+    snap: Snapshot,
     query: &'a Trajectory,
-    scratch: Option<&'a mut EdwpScratch>,
     parallel: Option<bool>,
     spec: Spec,
 }
 
-impl<'a> QueryBuilder<'a> {
-    /// A builder over borrowed store and tree — one shard, no epoch
-    /// machinery. `store` must be the store `tree` indexes, with every one
-    /// of its trajectories inserted.
-    pub fn over(tree: &'a TrajTree, store: &'a TrajStore, query: &'a Trajectory) -> Self {
-        QueryBuilder {
-            source: Source::Borrowed { tree, store },
-            query,
-            scratch: None,
-            parallel: None,
-            spec: Spec::default(),
-        }
-    }
-
-    /// Runs the query's kernels through caller-pooled scratch memory
-    /// instead of a fresh per-call buffer (what [`Session::query`] wires up
-    /// automatically). Values are identical either way.
-    pub fn scratch(mut self, scratch: &'a mut EdwpScratch) -> Self {
-        self.scratch = Some(scratch);
-        self
-    }
-
-    /// Overrides the scatter strategy: `true` forces one worker thread per
-    /// shard, every k-NN descent tightening one shared atomic threshold;
-    /// `false` forces the single-threaded *forest* traversal (every shard
-    /// root in one best-first queue — one collector, one global
-    /// threshold). The default picks the parallel scatter only when the
-    /// session has multiple shards *and* the machine has CPUs to spare.
-    /// Results are bitwise identical either way; only wall-clock and the
-    /// work-counter split change.
+impl QueryBuilder<'_> {
+    /// Overrides how the query is split into work items: `true` forces
+    /// one item per shard, every k-NN descent tightening one shared
+    /// atomic threshold, run on up to one worker per CPU; `false` forces
+    /// a single *forest* item (every shard root in one best-first queue —
+    /// one collector, one global threshold) on the caller thread. The
+    /// default splits only when the session has multiple shards *and* the
+    /// machine has more than one CPU. Results are bitwise identical either
+    /// way; only wall-clock and the work-counter split change.
     pub fn parallel_scatter(mut self, parallel: bool) -> Self {
         self.parallel = Some(parallel);
         self
@@ -1070,16 +994,7 @@ impl<'a> QueryBuilder<'a> {
     /// count.
     #[must_use = "running a k-NN query only to drop its result does no work worth paying for"]
     pub fn knn(self, k: usize) -> QueryResult {
-        let QueryBuilder {
-            source,
-            query,
-            scratch,
-            parallel,
-            spec,
-        } = self;
-        with_scratch(scratch, |scratch| {
-            exec_single(&source, query, spec, QueryKind::Knn(k), parallel, scratch)
-        })
+        self.run(QueryKind::Knn(k))
     }
 
     /// Finishes as a range query: every trajectory within `eps`
@@ -1094,51 +1009,39 @@ impl<'a> QueryBuilder<'a> {
     /// whole database.
     #[must_use = "running a range query only to drop its result does no work worth paying for"]
     pub fn range(self, eps: f64) -> QueryResult {
-        let QueryBuilder {
-            source,
-            query,
-            scratch,
-            parallel,
-            spec,
-        } = self;
-        with_scratch(scratch, |scratch| {
-            exec_single(
-                &source,
-                query,
-                spec,
-                QueryKind::Range(eps),
-                parallel,
-                scratch,
-            )
-        })
+        self.run(QueryKind::Range(eps))
+    }
+
+    fn run(self, kind: QueryKind) -> QueryResult {
+        let (mut neighbors, stats) = schedule(
+            &self.snap,
+            std::slice::from_ref(self.query),
+            self.spec,
+            kind,
+            default_threads(),
+            self.parallel,
+        );
+        QueryResult {
+            neighbors: neighbors.pop().expect("a batch of one has one answer"),
+            stats: self.spec.collect_stats.then_some(stats),
+        }
     }
 }
 
 /// Builder for a batch of queries answered in parallel; construct via
-/// [`Session::batch`], [`Snapshot::batch`], or [`BatchQueryBuilder::over`];
-/// chain modifiers, finish with [`BatchQueryBuilder::knn`] or
-/// [`BatchQueryBuilder::range`]. Results are bitwise identical to a
-/// sequential loop of single queries, for any worker and shard count.
+/// [`Session::batch`] or [`Snapshot::batch`], chain modifiers, finish with
+/// [`BatchQueryBuilder::knn`] or [`BatchQueryBuilder::range`]. Results are
+/// bitwise identical to a sequential loop of single queries, for any
+/// worker and shard count.
 #[derive(Debug)]
 pub struct BatchQueryBuilder<'a> {
-    source: Source<'a>,
+    snap: Snapshot,
     queries: &'a [Trajectory],
     threads: Option<usize>,
     spec: Spec,
 }
 
-impl<'a> BatchQueryBuilder<'a> {
-    /// A batch builder over borrowed store and tree (same precondition as
-    /// [`QueryBuilder::over`]).
-    pub fn over(tree: &'a TrajTree, store: &'a TrajStore, queries: &'a [Trajectory]) -> Self {
-        BatchQueryBuilder {
-            source: Source::Borrowed { tree, store },
-            queries,
-            threads: None,
-            spec: Spec::default(),
-        }
-    }
-
+impl BatchQueryBuilder<'_> {
     /// Explicit worker count (default: one worker per available CPU).
     /// Clamped to at least 1 — like [`SessionBuilder::shards`], a zero
     /// from a computed configuration means "no parallelism", not "no
@@ -1195,163 +1098,12 @@ impl<'a> BatchQueryBuilder<'a> {
         self.run(QueryKind::Range(eps))
     }
 
-    /// Scatter-gather scheduling: workers pull work items off a shared
-    /// atomic cursor (work-stealing — a slow item no longer straggles a
-    /// whole contiguous chunk), every item routes node bounds through the
-    /// batch's shared [`BoundCache`], and the item → result-slot mapping
-    /// travels with the item, so stealing order never touches results.
-    ///
-    /// Item granularity adapts: with enough queries to occupy every
-    /// worker, one item is a whole query (a forest traversal over all
-    /// shards — cross-shard pruning for free); a small batch over many
-    /// shards splits into (query × shard) items instead, with one
-    /// [`SharedThreshold`] per query so sibling items still prune each
-    /// other, and the gather step merges each query's per-shard partials.
     fn run(self, kind: QueryKind) -> BatchQueryResult {
-        let BatchQueryBuilder {
-            source,
-            queries,
-            threads,
-            spec,
-        } = self;
-        if queries.is_empty() {
-            return BatchQueryResult {
-                neighbors: Vec::new(),
-                stats: spec.collect_stats.then_some(QueryStats::default()),
-            };
-        }
-        let total = source.total_len(spec.brute_force);
-        let views = source.views();
-        let workers = threads.unwrap_or_else(default_threads).max(1);
-        let cache = BoundCache::new();
-        let canon = canonical_queries(queries);
-        let cursor = AtomicUsize::new(0);
-
-        let mut agg = QueryStats::default();
-        let mut neighbors = Vec::with_capacity(queries.len());
-        if views.len() == 1 || queries.len() >= 2 * workers {
-            // Whole-query items.
-            let workers = workers.clamp(1, queries.len());
-            let mut slots: Vec<Option<(Vec<Neighbor>, QueryStats)>> = Vec::new();
-            slots.resize_with(queries.len(), || None);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let (views, cache, canon, cursor) = (&views, &cache, &canon, &cursor);
-                        scope.spawn(move || {
-                            let mut scratch = EdwpScratch::new();
-                            let mut out = Vec::new();
-                            loop {
-                                let qi = cursor.fetch_add(1, Ordering::Relaxed);
-                                if qi >= queries.len() {
-                                    break;
-                                }
-                                let reuse = BoundReuse {
-                                    cache,
-                                    query: canon[qi],
-                                };
-                                out.push((
-                                    qi,
-                                    run_query(
-                                        views,
-                                        &queries[qi],
-                                        spec,
-                                        kind,
-                                        total,
-                                        &mut scratch,
-                                        Some(reuse),
-                                    ),
-                                ));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (qi, r) in h.join().expect("batch worker panicked") {
-                        slots[qi] = Some(r);
-                    }
-                }
-            });
-            for slot in &mut slots {
-                let (per_query, stats) = slot.take().expect("every query index was claimed");
-                agg.merge(&stats);
-                neighbors.push(per_query);
-            }
-        } else {
-            // (query × shard) items; per-query shared thresholds.
-            let items: Vec<(usize, usize)> = (0..queries.len())
-                .flat_map(|q| (0..views.len()).map(move |v| (q, v)))
-                .collect();
-            let workers = workers.clamp(1, items.len());
-            let thresholds: Vec<SharedThreshold> =
-                (0..queries.len()).map(|_| SharedThreshold::new()).collect();
-            let sizes = shard_sizes(&views, total);
-            let mut slots: Vec<Option<(Vec<Neighbor>, QueryStats)>> = Vec::new();
-            slots.resize_with(items.len(), || None);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let (views, cache, canon, cursor) = (&views, &cache, &canon, &cursor);
-                        let (items, thresholds, sizes) = (&items, &thresholds, &sizes);
-                        scope.spawn(move || {
-                            let mut scratch = EdwpScratch::new();
-                            let mut out = Vec::new();
-                            loop {
-                                let ii = cursor.fetch_add(1, Ordering::Relaxed);
-                                if ii >= items.len() {
-                                    break;
-                                }
-                                let (qi, vi) = items[ii];
-                                let reuse = BoundReuse {
-                                    cache,
-                                    query: canon[qi],
-                                };
-                                out.push((
-                                    ii,
-                                    run_item(
-                                        &views[vi],
-                                        &queries[qi],
-                                        spec,
-                                        kind,
-                                        total,
-                                        sizes[vi],
-                                        vi == 0,
-                                        &thresholds[qi],
-                                        &mut scratch,
-                                        Some(reuse),
-                                    ),
-                                ));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (ii, r) in h.join().expect("batch worker panicked") {
-                        slots[ii] = Some(r);
-                    }
-                }
-            });
-            // Gather: slots are query-major, `views.len()` partials per
-            // query.
-            for per_query in slots.chunks_mut(views.len()) {
-                let mut merged = Vec::new();
-                for slot in per_query {
-                    let (partial, stats) = slot.take().expect("every item index was claimed");
-                    merged.extend(partial);
-                    agg.merge(&stats);
-                }
-                let mut merged = sort_neighbors(merged);
-                if let QueryKind::Knn(k) = kind {
-                    merged.truncate(k.min(total));
-                }
-                neighbors.push(merged);
-            }
-        }
+        let workers = self.threads.unwrap_or_else(default_threads);
+        let (neighbors, stats) = schedule(&self.snap, self.queries, self.spec, kind, workers, None);
         BatchQueryResult {
             neighbors,
-            stats: spec.collect_stats.then_some(agg),
+            stats: self.spec.collect_stats.then_some(stats),
         }
     }
 }
@@ -1376,210 +1128,194 @@ fn eps_can_match(eps: f64) -> bool {
     eps >= 0.0
 }
 
-/// Runs a closure with the caller's pooled scratch, or a fresh one.
-fn with_scratch<R>(scratch: Option<&mut EdwpScratch>, f: impl FnOnce(&mut EdwpScratch) -> R) -> R {
-    match scratch {
-        Some(s) => f(s),
-        None => f(&mut EdwpScratch::new()),
-    }
+thread_local! {
+    /// Each thread's pooled kernel memory. Every work item a thread runs
+    /// borrows it, so consecutive queries on one thread are
+    /// allocation-free inside the distance kernels, and no caller ever
+    /// has to own or pass scratch.
+    static SCRATCH: RefCell<EdwpScratch> = RefCell::new(EdwpScratch::new());
 }
 
-/// Per-view `db_size` partials that sum to the source total. The borrowed
-/// source's single view must report `total` itself (its brute-force /
-/// index size distinction lives in the total); sharded snapshots keep
-/// store and tree in sync per shard.
-fn shard_sizes(views: &[SearchView<'_>], total: usize) -> Vec<usize> {
-    if views.len() == 1 {
-        vec![total]
-    } else {
-        views.iter().map(|v| v.len()).collect()
-    }
+/// Maps each query of a batch to the index of its first bitwise-identical
+/// occurrence (coordinates *and* timestamps compared bit-for-bit). Bit
+/// equality is the right notion: the kernels are deterministic functions
+/// of the raw input bits, so canonical-equal queries provably share every
+/// answer — and `0.0` / `-0.0` stay distinct.
+fn canonical_queries(queries: &[Trajectory]) -> Vec<usize> {
+    let mut first: HashMap<Vec<u64>, usize> = HashMap::with_capacity(queries.len());
+    queries
+        .iter()
+        .enumerate()
+        .map(|(i, q)| {
+            let bits: Vec<u64> = q
+                .points()
+                .iter()
+                .flat_map(|s| [s.p.x.to_bits(), s.p.y.to_bits(), s.t.to_bits()])
+                .collect();
+            *first.entry(bits).or_insert(i)
+        })
+        .collect()
 }
 
-/// The one code path every single query runs through. The scatter
-/// strategy defaults to the parallel per-shard descent when the session
-/// is sharded and the machine has CPUs to spare, and to the sequential
-/// forest traversal otherwise (on one core, threads only add scheduling
-/// overhead; the forest gives cross-shard pruning without them) —
-/// [`QueryBuilder::parallel_scatter`] overrides.
-fn exec_single(
-    source: &Source<'_>,
-    query: &Trajectory,
+/// The one query scheduler: every finisher, single or batch, runs here.
+///
+/// 1. **Dedupe.** Each distinct query (under [`canonical_queries`]) runs
+///    once; a repeat gets a clone of its first occurrence's answer and
+///    adds only `queries` and `db_size` to the merged stats.
+/// 2. **Split.** Whole-query items — one forest traversal over every shard
+///    with one collector — when there is one shard, one worker, or at
+///    least two distinct queries per worker; otherwise (query × shard)
+///    items, with one [`SharedThreshold`] per query so sibling items
+///    prune each other. `split` forces the choice.
+/// 3. **Run.** Workers pull items off a shared atomic cursor
+///    (work-stealing); the first worker is the caller thread itself, so
+///    only `workers − 1` scoped threads are spawned. Each item's result
+///    slot travels with it, so stealing order never touches results.
+/// 4. **Gather.** Each query's per-shard partials are merged, re-sorted by
+///    `(distance, id)` and truncated to `k` — a shard's own top-k is a
+///    superset of its contribution to the global top-k, so the merge is
+///    exact.
+fn schedule(
+    snap: &Snapshot,
+    queries: &[Trajectory],
     spec: Spec,
     kind: QueryKind,
-    parallel: Option<bool>,
-    scratch: &mut EdwpScratch,
-) -> QueryResult {
-    let total = source.total_len(spec.brute_force);
-    let views = source.views();
-    let parallel = parallel.unwrap_or_else(|| views.len() > 1 && default_threads() > 1);
-    if !parallel || views.len() == 1 {
-        let (neighbors, stats) = run_query(&views, query, spec, kind, total, scratch, None);
-        return QueryResult {
-            neighbors,
-            stats: spec.collect_stats.then_some(stats),
-        };
-    }
-
-    // Parallel scatter: one worker per shard (shard 0 inline on the caller
-    // thread, reusing its warm scratch), one shared threshold.
-    let shared = SharedThreshold::new();
-    let sizes = shard_sizes(&views, total);
+    workers: usize,
+    split: Option<bool>,
+) -> (Vec<Vec<Neighbor>>, QueryStats) {
+    let total = snap.len();
+    let kind = match kind {
+        QueryKind::Knn(k) => QueryKind::Knn(k.min(total)),
+        range => range,
+    };
+    let views = snap.views();
+    let canon = canonical_queries(queries);
+    let distinct: Vec<&Trajectory> = queries
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| canon[i] == i)
+        .map(|(_, q)| q)
+        .collect();
+    let split = views.len() > 1
+        && split.unwrap_or(workers > 1 && distinct.len() < workers.saturating_mul(2));
+    let per_query = if split { views.len() } else { 1 };
+    let items = distinct.len() * per_query;
+    let thresholds: Vec<SharedThreshold> = if split {
+        distinct.iter().map(|_| SharedThreshold::new()).collect()
+    } else {
+        Vec::new()
+    };
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        SCRATCH.with_borrow_mut(|scratch| {
+            let mut done = Vec::new();
+            loop {
+                let item = cursor.fetch_add(1, Ordering::Relaxed);
+                if item >= items {
+                    break done;
+                }
+                let (qi, vi) = (item / per_query, item % per_query);
+                let (item_views, shared) = if split {
+                    (&views[vi..=vi], Some(&thresholds[qi]))
+                } else {
+                    (&views[..], None)
+                };
+                let stats = QueryStats::for_shard_partial(
+                    item_views.iter().map(SearchView::len).sum(),
+                    vi == 0,
+                );
+                let answer = search(item_views, distinct[qi], spec, kind, shared, scratch, stats);
+                done.push((item, answer));
+            }
+        })
+    };
     let mut slots: Vec<Option<(Vec<Neighbor>, QueryStats)>> = Vec::new();
-    slots.resize_with(views.len(), || None);
+    slots.resize_with(items, || None);
     std::thread::scope(|scope| {
-        let (slot0, rest) = slots.split_at_mut(1);
-        for (off, (view, slot)) in views[1..].iter().zip(rest.iter_mut()).enumerate() {
-            let (shared, sizes) = (&shared, &sizes);
-            scope.spawn(move || {
-                let mut scratch = EdwpScratch::new();
-                *slot = Some(run_item(
-                    view,
-                    query,
-                    spec,
-                    kind,
-                    total,
-                    sizes[off + 1],
-                    false,
-                    shared,
-                    &mut scratch,
-                    None,
-                ));
-            });
+        let helpers: Vec<_> = (1..workers.clamp(1, items.max(1)))
+            .map(|_| scope.spawn(work))
+            .collect();
+        let helped = helpers
+            .into_iter()
+            .flat_map(|h| h.join().expect("query worker panicked"));
+        for (item, answer) in work().into_iter().chain(helped) {
+            slots[item] = Some(answer);
         }
-        slot0[0] = Some(run_item(
-            &views[0], query, spec, kind, total, sizes[0], true, &shared, scratch, None,
-        ));
     });
 
-    let mut stats = QueryStats::default();
-    let mut merged = Vec::new();
-    for slot in &mut slots {
-        let (partial, partial_stats) = slot.take().expect("every shard worker fills its slot");
-        merged.extend(partial);
-        stats.merge(&partial_stats);
+    let mut agg = QueryStats::default();
+    let mut answers = Vec::with_capacity(distinct.len());
+    for partials in slots.chunks_mut(per_query) {
+        let mut merged = Vec::new();
+        for slot in partials {
+            let (partial, stats) = slot.take().expect("every item was claimed");
+            merged.extend(partial);
+            agg.merge(&stats);
+        }
+        if split {
+            merged = sort_neighbors(merged);
+            if let QueryKind::Knn(k) = kind {
+                merged.truncate(k);
+            }
+        }
+        answers.push(merged);
     }
-    let mut neighbors = sort_neighbors(merged);
-    if let QueryKind::Knn(k) = kind {
-        neighbors.truncate(k.min(total));
+    let mut answers = answers.into_iter();
+    let mut neighbors: Vec<Vec<Neighbor>> = Vec::with_capacity(queries.len());
+    for (i, &first) in canon.iter().enumerate() {
+        if first == i {
+            neighbors.push(answers.next().expect("one answer per distinct query"));
+        } else {
+            agg.merge(&QueryStats::for_search(total));
+            neighbors.push(neighbors[first].clone());
+        }
     }
-    QueryResult {
-        neighbors,
-        stats: spec.collect_stats.then_some(stats),
-    }
+    (neighbors, agg)
 }
 
-/// One whole query over every view: a single collector — hence one global
-/// pruning threshold — fed by one forest traversal (or the linear-scan
-/// reference for `brute_force`). The sequential-scatter unit, and the
-/// per-query batch item.
-fn run_query(
+/// Runs one work item — one query over `views` (every shard, or one shard
+/// of a split query) — with the collector its query type calls for: a
+/// k-NN item plugs into its query's [`SharedThreshold`] when it has one,
+/// so sibling shards prune each other mid-descent. `kind` carries `k`
+/// already clamped to the database size.
+fn search(
     views: &[SearchView<'_>],
     query: &Trajectory,
     spec: Spec,
     kind: QueryKind,
-    total: usize,
+    shared: Option<&SharedThreshold>,
     scratch: &mut EdwpScratch,
-    reuse: Option<BoundReuse<'_>>,
+    mut stats: QueryStats,
 ) -> (Vec<Neighbor>, QueryStats) {
-    let mut stats = QueryStats::for_search(total);
     let neighbors = match kind {
-        QueryKind::Knn(k) => {
-            let k = k.min(total);
-            if k == 0 {
-                Vec::new()
-            } else {
-                let mut collector = KnnCollector::new(k);
-                drive(
-                    views,
-                    query,
-                    spec,
-                    &mut collector,
-                    scratch,
-                    &mut stats,
-                    reuse,
-                );
-                collector.into_neighbors()
-            }
-        }
-        QueryKind::Range(eps) => {
-            if eps_can_match(eps) {
-                let mut collector = RangeCollector::new(eps);
-                drive(
-                    views,
-                    query,
-                    spec,
-                    &mut collector,
-                    scratch,
-                    &mut stats,
-                    reuse,
-                );
-                collector.into_neighbors()
-            } else {
-                Vec::new()
-            }
-        }
-    };
-    (neighbors, stats)
-}
-
-/// One (query, shard) work item of a parallel scatter: a per-shard
-/// collector filled over one view — k-NN items plug into the query's
-/// [`SharedThreshold`], so sibling shards prune each other mid-descent.
-/// `counts_query` is set on the query's first item so the merged
-/// [`QueryStats::queries`] equals the query count, and the `shard_len`
-/// partials sum to the database total.
-#[allow(clippy::too_many_arguments)]
-fn run_item(
-    view: &SearchView<'_>,
-    query: &Trajectory,
-    spec: Spec,
-    kind: QueryKind,
-    total: usize,
-    shard_len: usize,
-    counts_query: bool,
-    shared: &SharedThreshold,
-    scratch: &mut EdwpScratch,
-    reuse: Option<BoundReuse<'_>>,
-) -> (Vec<Neighbor>, QueryStats) {
-    let mut stats = QueryStats::for_shard_partial(shard_len, counts_query);
-    let views = std::slice::from_ref(view);
-    let neighbors = match kind {
-        QueryKind::Knn(k) => {
-            let k = k.min(total);
-            if k == 0 {
-                Vec::new()
-            } else {
-                let mut collector = SharedKnnCollector::new(k, shared);
-                drive(
-                    views,
-                    query,
-                    spec,
-                    &mut collector,
-                    scratch,
-                    &mut stats,
-                    reuse,
-                );
-                collector.into_neighbors()
-            }
-        }
-        QueryKind::Range(eps) => {
-            if eps_can_match(eps) {
-                let mut collector = RangeCollector::new(eps);
-                drive(
-                    views,
-                    query,
-                    spec,
-                    &mut collector,
-                    scratch,
-                    &mut stats,
-                    reuse,
-                );
-                collector.into_neighbors()
-            } else {
-                Vec::new()
-            }
-        }
+        QueryKind::Knn(0) => Vec::new(),
+        QueryKind::Knn(k) => match shared {
+            Some(shared) => drive(
+                views,
+                query,
+                spec,
+                SharedKnnCollector::new(k, shared),
+                scratch,
+                &mut stats,
+            ),
+            None => drive(
+                views,
+                query,
+                spec,
+                KnnCollector::new(k),
+                scratch,
+                &mut stats,
+            ),
+        },
+        QueryKind::Range(eps) if eps_can_match(eps) => drive(
+            views,
+            query,
+            spec,
+            RangeCollector::new(eps),
+            scratch,
+            &mut stats,
+        ),
+        QueryKind::Range(_) => Vec::new(),
     };
     (neighbors, stats)
 }
@@ -1587,17 +1323,16 @@ fn run_item(
 /// Feeds a collector from the views' best-first forest engine, or from a
 /// pruning-free linear scan for `brute_force` — the two differ only in
 /// which candidates pay for a full distance evaluation, never in what is
-/// computed for them. Local ids are rewritten to global ids as candidates
-/// are offered.
+/// computed for them — and returns its sorted matches. Local ids are
+/// rewritten to global ids as candidates are offered.
 fn drive<C: Collector>(
     views: &[SearchView<'_>],
     query: &Trajectory,
     spec: Spec,
-    collector: &mut C,
+    mut collector: C,
     scratch: &mut EdwpScratch,
     stats: &mut QueryStats,
-    reuse: Option<BoundReuse<'_>>,
-) {
+) -> Vec<Neighbor> {
     if spec.brute_force {
         for view in views {
             let base = view.store.len() as TrajId;
@@ -1627,12 +1362,12 @@ fn drive<C: Collector>(
                 metric: spec.metric,
                 mode: spec.mode,
             },
-            collector,
+            &mut collector,
             scratch,
             stats,
-            reuse,
         );
     }
+    collector.into_neighbors()
 }
 
 /// Default worker fan-out: one per available CPU (cached — the default is
@@ -1663,7 +1398,7 @@ mod tests {
 
     #[test]
     fn session_roundtrip_and_insert() {
-        let mut session = Session::build(two_cluster_store());
+        let session = Session::build(two_cluster_store());
         assert_eq!(session.len(), 20);
         assert!(!session.is_empty());
         let id = session
@@ -1708,12 +1443,12 @@ mod tests {
     #[test]
     fn sharded_results_match_single_shard() {
         let store = two_cluster_store();
-        let mut single = Session::build(store.clone());
+        let single = Session::build(store.clone());
         let q = Trajectory::from_xy(&[(1.0, 0.5), (5.0, 1.5)]);
         let want_knn = single.query(&q).knn(5);
         let want_range = single.query(&q).range(750.0);
         for shards in [2usize, 3, 4, 16] {
-            let mut sharded = Session::builder().shards(shards).build(store.clone());
+            let sharded = Session::builder().shards(shards).build(store.clone());
             assert_eq!(sharded.num_shards(), shards);
             // Both scatter strategies, explicitly — whatever the default
             // resolves to on this machine.
@@ -1911,7 +1646,7 @@ mod tests {
 
     #[test]
     fn builder_stats_only_when_requested() {
-        let mut session = Session::build(two_cluster_store());
+        let session = Session::build(two_cluster_store());
         let q = Trajectory::from_xy(&[(1.0, 0.5), (5.0, 1.5)]);
         assert!(session.query(&q).knn(3).stats.is_none());
         let with = session.query(&q).collect_stats().knn(3);
@@ -1930,7 +1665,7 @@ mod tests {
         let store = two_cluster_store();
         let q = Trajectory::from_xy(&[(1.0, 0.5), (5.0, 1.5)]);
         for shards in [1usize, 2, 4] {
-            let mut session = Session::builder().shards(shards).build(store.clone());
+            let session = Session::builder().shards(shards).build(store.clone());
             for parallel in [false, true] {
                 let res = session
                     .query(&q)
@@ -1950,7 +1685,7 @@ mod tests {
 
     #[test]
     fn brute_force_modifier_counts_every_candidate() {
-        let mut session = Session::build(two_cluster_store());
+        let session = Session::build(two_cluster_store());
         let q = Trajectory::from_xy(&[(1.0, 0.5), (5.0, 1.5)]);
         let pruned = session.query(&q).collect_stats().knn(3);
         let brute = session.query(&q).brute_force().collect_stats().knn(3);
@@ -1961,7 +1696,7 @@ mod tests {
 
     #[test]
     fn normalized_metric_ranks_by_edwp_avg() {
-        let mut session = Session::build(two_cluster_store());
+        let session = Session::build(two_cluster_store());
         let q = Trajectory::from_xy(&[(1.0, 0.5), (5.0, 1.5)]);
         let norm = session.query(&q).metric(Metric::EdwpNormalized).knn(5);
         let mut scratch = EdwpScratch::new();
@@ -2024,23 +1759,179 @@ mod tests {
     }
 
     #[test]
-    fn batch_with_repeated_queries_hits_the_bound_cache() {
-        // A batch repeating one probe shares node bounds through the
-        // per-batch cache; answers must stay bitwise identical to the
-        // all-distinct path.
+    fn batch_with_repeated_queries_are_answered_once() {
+        // A batch runs each bitwise-distinct query once and copies the
+        // answer into its repeats' slots: answers stay bitwise identical to
+        // single queries, and the work counters equal those of the batch of
+        // distinct queries alone, plus `queries`/`db_size` per repeat.
         let session = Session::builder().shards(3).build(two_cluster_store());
         let probe = Trajectory::from_xy(&[(1.0, 0.5), (5.0, 1.5)]);
         let far = Trajectory::from_xy(&[(480.0, 480.0), (520.0, 520.0)]);
-        let queries = vec![probe.clone(), far.clone(), probe.clone(), probe];
+        // `-0.0` is a distinct bit pattern, hence a distinct query.
+        let zero = Trajectory::from_xy(&[(0.0, 0.0), (4.0, 1.0)]);
+        let neg_zero = Trajectory::from_xy(&[(-0.0, 0.0), (4.0, 1.0)]);
+        let queries = vec![
+            probe.clone(),
+            far.clone(),
+            probe.clone(),
+            zero.clone(),
+            neg_zero.clone(),
+            probe.clone(),
+        ];
+        let distinct = vec![probe, far, zero, neg_zero];
+        let snap = session.snapshot();
         for threads in [1usize, 2, 4] {
-            let batch = session.batch(&queries).threads(threads).knn(4);
+            let batch = session
+                .batch(&queries)
+                .threads(threads)
+                .collect_stats()
+                .knn(4);
             assert_eq!(batch.neighbors[0], batch.neighbors[2]);
-            assert_eq!(batch.neighbors[0], batch.neighbors[3]);
-            let snap = session.snapshot();
+            assert_eq!(batch.neighbors[0], batch.neighbors[5]);
             for (q, got) in queries.iter().zip(&batch.neighbors) {
                 assert_eq!(*got, snap.query(q).knn(4).neighbors, "threads: {threads}");
             }
+            if threads == 1 {
+                let stats = batch.stats.expect("requested");
+                let want = session
+                    .batch(&distinct)
+                    .threads(1)
+                    .collect_stats()
+                    .knn(4)
+                    .stats
+                    .expect("requested");
+                assert_eq!(stats.queries, queries.len());
+                assert_eq!(stats.db_size, 20 * queries.len());
+                assert_eq!(stats.nodes_visited, want.nodes_visited);
+                assert_eq!(stats.bound_evaluations, want.bound_evaluations);
+                assert_eq!(stats.edwp_evaluations, want.edwp_evaluations);
+                // The signed-zero pair runs twice, not deduplicated.
+                let pair = session
+                    .batch(&distinct[2..])
+                    .threads(1)
+                    .collect_stats()
+                    .knn(4)
+                    .stats
+                    .expect("requested");
+                let one = snap
+                    .query(&distinct[2])
+                    .parallel_scatter(false)
+                    .collect_stats()
+                    .knn(4)
+                    .stats
+                    .expect("requested");
+                assert!(one.edwp_evaluations > 0);
+                assert_eq!(pair.edwp_evaluations, 2 * one.edwp_evaluations);
+            }
         }
+    }
+
+    #[test]
+    fn canonical_queries_dedup_bitwise_repeats() {
+        let a = Trajectory::from_xy(&[(0.0, 0.0), (1.0, 1.0)]);
+        let b = Trajectory::from_xy(&[(0.0, 0.0), (2.0, 1.0)]);
+        let canon = canonical_queries(&[a.clone(), b.clone(), a.clone(), b, a.clone()]);
+        assert_eq!(canon, vec![0, 1, 0, 1, 0]);
+        // -0.0 and 0.0 are distinct bit patterns, hence distinct queries.
+        let neg = Trajectory::from_xy(&[(-0.0, 0.0), (1.0, 1.0)]);
+        assert_eq!(canonical_queries(&[a, neg]), vec![0, 1]);
+    }
+
+    #[test]
+    fn concurrent_queries_on_a_shared_session_match_sequential() {
+        let session = Session::builder().shards(2).build(two_cluster_store());
+        let queries: Vec<Trajectory> = (0..8)
+            .map(|i| {
+                let x = i as f64 * 70.0;
+                Trajectory::from_xy(&[(x, x), (x + 3.0, x + 1.0)])
+            })
+            .collect();
+        let want: Vec<Vec<Neighbor>> = queries
+            .iter()
+            .map(|q| session.query(q).knn(5).neighbors)
+            .collect();
+        let session = &session;
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let (queries, start) = (&queries, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..queries.len())
+                            .map(|i| (t + i) % queries.len())
+                            .map(|i| (i, session.query(&queries[i]).knn(5).neighbors))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for h in handles {
+                for (i, got) in h.join().expect("query thread panicked") {
+                    assert_eq!(got, want[i], "query {i}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn exhausted_id_space_fails_inserts_typed_and_publishes_nothing() {
+        for shards in [1usize, 3] {
+            let session = Session::builder().shards(shards).build(two_cluster_store());
+            let before = session
+                .snapshot()
+                .iter()
+                .map(|(g, t)| (g, t.clone()))
+                .collect::<Vec<_>>();
+            let t = |x: f64| Trajectory::from_xy(&[(x, 7.0), (x + 1.0, 8.0)]);
+            // Room for exactly two more ids: u32::MAX - 2 and u32::MAX - 1.
+            session.next_id.store(u32::MAX - 2, Ordering::Relaxed);
+            assert_eq!(
+                session.insert_batch(vec![t(1.0), t(2.0), t(3.0)]),
+                Err(TrajError::IdSpaceExhausted)
+            );
+            assert_eq!(session.len(), 20, "a failed batch publishes nothing");
+            let ids = session.insert_batch(vec![t(1.0), t(2.0)]).expect("fits");
+            assert_eq!(ids, vec![u32::MAX - 2, u32::MAX - 1]);
+            assert_eq!(session.insert(t(3.0)), Err(TrajError::IdSpaceExhausted));
+            assert_eq!(
+                session.insert_batch(vec![t(3.0)]),
+                Err(TrajError::IdSpaceExhausted)
+            );
+            assert_eq!(session.len(), 22, "shards: {shards}");
+            let snap = session.snapshot();
+            for (g, t) in &before {
+                assert_eq!(snap.get(*g), t, "earlier id {g} intact");
+            }
+            assert_eq!(snap.get(u32::MAX - 1).first().p.x, 2.0);
+            // Removal and queries keep working on an exhausted session.
+            session.remove(u32::MAX - 2).expect("live id");
+            let q = t(2.0);
+            assert_eq!(session.query(&q).knn(1).neighbors[0].id, u32::MAX - 1);
+        }
+    }
+
+    #[test]
+    fn open_never_truncates_an_oversized_watermark() {
+        let dir = traj_persist::tempdir::TempDir::new("watermark");
+        let t = Trajectory::from_xy(&[(0.0, 0.0), (1.0, 1.0)]);
+        traj_persist::snapshot::write_snapshot(
+            dir.path(),
+            1,
+            &[vec![(5, &t)]],
+            u64::from(u32::MAX) + 3,
+        )
+        .expect("snapshot written");
+        let session = Session::builder().open(dir.path()).expect("opens");
+        assert_eq!(session.len(), 1);
+        assert_eq!(session.query(&t).knn(1).neighbors[0].id, 5);
+        assert_eq!(session.insert(t.clone()), Err(TrajError::IdSpaceExhausted));
+        assert_eq!(
+            session.insert_batch(vec![t]),
+            Err(TrajError::IdSpaceExhausted)
+        );
+        drop(session);
+        let reopened = Session::builder().open(dir.path()).expect("reopens");
+        assert_eq!(reopened.len(), 1, "the failed inserts were never logged");
     }
 
     #[test]
@@ -2053,10 +1944,10 @@ mod tests {
 
     #[test]
     fn knn_zero_k_and_empty_session() {
-        let mut empty = Session::build(TrajStore::new());
+        let empty = Session::build(TrajStore::new());
         let q = Trajectory::from_xy(&[(0.0, 0.0), (1.0, 0.0)]);
         assert!(empty.query(&q).knn(3).neighbors.is_empty());
-        let mut session = Session::build(two_cluster_store());
+        let session = Session::build(two_cluster_store());
         let res = session.query(&q).collect_stats().knn(0);
         assert!(res.neighbors.is_empty());
         assert_eq!(res.stats.unwrap().edwp_evaluations, 0);

@@ -61,10 +61,10 @@
 //! # Queries over shards
 //!
 //! The query layer never walks shards one at a time under separate
-//! thresholds. A single query either seeds every shard root into one
+//! thresholds. A query either seeds every shard root into one
 //! best-first *forest* queue (cross-shard pruning, one collector), or —
-//! on the parallel scatter path — descends each shard on its own worker
-//! while all workers tighten one shared atomic threshold
+//! split into one work item per shard — descends each shard on its own
+//! worker while all workers tighten one shared atomic threshold
 //! ([`crate::engine::SharedThreshold`]). Either way the whole epoch is
 //! pinned once (`Arc` clone of the shard vector) before any traversal
 //! starts, so a concurrent write publishing a new epoch mid-query is
@@ -72,6 +72,7 @@
 //! generation, and results stay bitwise identical to the sequential
 //! single-shard answer.
 
+use crate::engine::SearchView;
 use crate::store::{TrajId, TrajStore};
 use crate::tree::{TrajTree, TrajTreeConfig};
 use std::collections::BTreeSet;
@@ -431,6 +432,21 @@ impl Snapshot {
     /// Total node count across all shard trees.
     pub fn node_count(&self) -> usize {
         self.shards.iter().map(|s| s.tree().node_count()).sum()
+    }
+
+    /// The engine's view of every shard, in shard order — what a query
+    /// scatters over.
+    pub(crate) fn views(&self) -> Vec<SearchView<'_>> {
+        self.shards
+            .iter()
+            .map(|s| SearchView {
+                tree: s.tree(),
+                store: s.base(),
+                delta: s.delta(),
+                globals: s.base_globals(),
+                dead: (!s.dead().is_empty()).then(|| s.dead()),
+            })
+            .collect()
     }
 }
 

@@ -31,20 +31,15 @@ impl Default for TrajTreeConfig {
 /// their subtree with a coarsened tBoxSeq; leaves hold trajectory ids.
 /// `max_len` upper-bounds the spatial length of every trajectory in the
 /// subtree — the bookkeeping the length-normalised metric's admissible
-/// node bound divides by. `id` is the node's pre-order position, reassigned
-/// wholesale after every structural change, so within one immutable epoch
-/// (the unit queries pin) ids are dense, stable and unique — the node key
-/// of the per-batch bound cache.
+/// node bound divides by.
 #[derive(Debug, Clone)]
 pub(crate) enum Node {
     Leaf {
-        id: u32,
         ids: Vec<TrajId>,
         summary: BoxSeq,
         max_len: f64,
     },
     Internal {
-        id: u32,
         children: Vec<Node>,
         summary: BoxSeq,
         max_len: f64,
@@ -55,29 +50,6 @@ impl Node {
     pub(crate) fn summary(&self) -> &BoxSeq {
         match self {
             Node::Leaf { summary, .. } | Node::Internal { summary, .. } => summary,
-        }
-    }
-
-    /// Pre-order id within this tree epoch (see the type docs).
-    pub(crate) fn id(&self) -> u32 {
-        match self {
-            Node::Leaf { id, .. } | Node::Internal { id, .. } => *id,
-        }
-    }
-
-    fn assign_ids(&mut self, next: &mut u32) {
-        match self {
-            Node::Leaf { id, .. } => {
-                *id = *next;
-                *next += 1;
-            }
-            Node::Internal { id, children, .. } => {
-                *id = *next;
-                *next += 1;
-                for c in children {
-                    c.assign_ids(next);
-                }
-            }
         }
     }
 
@@ -128,9 +100,9 @@ impl Node {
 
 /// The TrajTree index (Sec. V): a height-balanced hierarchy of tBoxSeq
 /// summaries over a [`TrajStore`], supporting bulk-loading and incremental
-/// insertion. Exact best-first searches run through the query surface —
-/// [`crate::QueryBuilder::over`] for a borrowed tree, or a
-/// [`crate::Session`] which shards the database across several trees.
+/// insertion. Exact best-first searches run through a [`crate::Session`],
+/// which shards the database across several trees
+/// ([`crate::Session::from_parts`] wraps a hand-built tree as one shard).
 ///
 /// Every node's summary is built over exactly the set of trajectories in
 /// its subtree, so the admissible bound
@@ -222,13 +194,11 @@ impl TrajTree {
                 })
                 .collect();
         }
-        let mut tree = TrajTree {
+        TrajTree {
             root: nodes.pop(),
             config,
             len,
-        };
-        tree.renumber();
-        tree
+        }
     }
 
     /// Bulk-loads with the default configuration.
@@ -257,18 +227,6 @@ impl TrajTree {
                     self.root = Some(root);
                 }
             }
-        }
-        self.renumber();
-    }
-
-    /// Reassigns dense pre-order node ids — called after every structural
-    /// change. A tree walk, negligible next to the merge-DP work the
-    /// change itself performed; crucially it keeps ids unique within the
-    /// epoch a query pins, no matter how splits shuffled subtrees.
-    fn renumber(&mut self) {
-        if let Some(root) = &mut self.root {
-            let mut next = 0u32;
-            root.assign_ids(&mut next);
         }
     }
 
@@ -347,7 +305,6 @@ fn make_leaf(store: &TrajStore, ids: &[TrajId], config: &TrajTreeConfig) -> Node
         .map(|&id| store.get(id).length())
         .fold(0.0, f64::max);
     Node::Leaf {
-        id: 0, // placeholder until the post-change renumber pass
         ids: ids.to_vec(),
         summary,
         max_len,
@@ -364,7 +321,6 @@ fn make_internal(store: &TrajStore, children: Vec<Node>, config: &TrajTreeConfig
     let summary = summary_over(store, &ids, config.internal_boxes);
     let max_len = children.iter().map(Node::max_len).fold(0.0, f64::max);
     Node::Internal {
-        id: 0, // placeholder until the post-change renumber pass
         children,
         summary,
         max_len,
@@ -384,7 +340,6 @@ fn make_internal_rollup(children: Vec<Node>, config: &TrajTreeConfig) -> Node {
     summary.coalesce(Some(config.internal_boxes));
     let max_len = children.iter().map(Node::max_len).fold(0.0, f64::max);
     Node::Internal {
-        id: 0, // placeholder until the post-change renumber pass
         children,
         summary,
         max_len,
@@ -720,37 +675,6 @@ mod tests {
             incremental.insert(&store, id);
         }
         check(incremental.root.as_ref().unwrap(), &store);
-    }
-
-    #[test]
-    fn node_ids_stay_dense_preorder_through_builds_and_inserts() {
-        fn collect(node: &Node, out: &mut Vec<u32>) {
-            out.push(node.id());
-            if let Node::Internal { children, .. } = node {
-                for c in children {
-                    collect(c, out);
-                }
-            }
-        }
-        let store = store_of(40);
-        let config = TrajTreeConfig {
-            leaf_capacity: 3,
-            fanout: 3,
-            ..TrajTreeConfig::default()
-        };
-        let bulk = TrajTree::bulk_load(&store, config.clone());
-        let mut ids = Vec::new();
-        collect(bulk.root.as_ref().unwrap(), &mut ids);
-        assert_eq!(ids, (0..bulk.node_count() as u32).collect::<Vec<_>>());
-
-        // The incremental path goes through every split/renumber route.
-        let mut tree = TrajTree::bulk_load(&TrajStore::new(), config);
-        for id in store.ids() {
-            tree.insert(&store, id);
-            let mut ids = Vec::new();
-            collect(tree.root.as_ref().unwrap(), &mut ids);
-            assert_eq!(ids, (0..tree.node_count() as u32).collect::<Vec<_>>());
-        }
     }
 
     #[test]

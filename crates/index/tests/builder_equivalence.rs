@@ -1,8 +1,9 @@
 //! The sharded-surface contract: every combination the typed query surface
 //! can express — k-NN / range × index / brute-force × shards 1/2/4 ×
 //! threads 1/4 × raw / length-normalised metric × forest / parallel
-//! scatter — is **bitwise identical** to the borrowed single-shard builder
-//! and to an independent manual scan, and inserts land while concurrent
+//! scatter — is **bitwise identical** to a single-shard session over a
+//! hand-built store and tree ([`Session::from_parts`]) and to an
+//! independent manual scan, and inserts land while concurrent
 //! batches keep reading a stable epoch. This is what makes the shard count
 //! an invisible deployment knob.
 
@@ -13,7 +14,7 @@ use proptest::prelude::*;
 use traj_core::{StPoint, Trajectory};
 use traj_dist::{edwp_avg_with_scratch, EdwpScratch, Metric};
 use traj_gen::{GenConfig, TrajGen};
-use traj_index::{Neighbor, QueryBuilder, Session, TrajStore, TrajTree};
+use traj_index::{Neighbor, Session, TrajStore, TrajTree};
 
 /// A uniformly random trajectory in a 100×100 region.
 fn trajectory(min_pts: usize, max_pts: usize) -> impl Strategy<Value = Trajectory> {
@@ -98,8 +99,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Single-query grid over shards 1/2/4: for both metrics, every
-    /// sharded session's index and brute-force answers equal the borrowed
-    /// single-shard builder and the manual scan — k-NN and range.
+    /// sharded session's index and brute-force answers equal the
+    /// single-shard `from_parts` reference and the manual scan — k-NN and
+    /// range.
     #[test]
     fn shard_grid_single_queries_are_bitwise_identical(
         size in 25usize..70,
@@ -108,7 +110,7 @@ proptest! {
     ) {
         let db = clustered_db(size, seed);
         let store = TrajStore::from(db.clone());
-        let tree = TrajTree::build(&store);
+        let reference = Session::from_parts(store.clone(), TrajTree::build(&store));
         let k = 7usize;
         for metric in [Metric::Edwp, Metric::EdwpNormalized] {
             let truth = manual_scan(store.iter(), &query, metric);
@@ -120,17 +122,19 @@ proptest! {
                 .filter(|n| n.distance <= eps)
                 .collect();
 
-            // The borrowed entry point is the single-shard reference.
-            let borrowed = QueryBuilder::over(&tree, &store, &query)
+            // A session over a hand-built tree is the single-shard
+            // reference.
+            let single = reference
+                .query(&query)
                 .metric(metric)
                 .collect_stats()
                 .knn(k);
-            prop_assert_eq!(&borrowed.neighbors, &want_knn);
-            let stats = borrowed.stats.expect("requested");
+            prop_assert_eq!(&single.neighbors, &want_knn);
+            let stats = single.stats.expect("requested");
             prop_assert!(stats.edwp_evaluations <= stats.db_size);
 
             for shards in [1usize, 2, 4] {
-                let mut session = Session::builder()
+                let session = Session::builder()
                     .shards(shards)
                     .build(TrajStore::from(db.clone()));
                 // Both scatter strategies, forced explicitly: the forest
@@ -165,8 +169,9 @@ proptest! {
     }
 
     /// Batch grid: shards 1/2/4 × knn/range × threads 1/4 × both metrics,
-    /// bitwise equal to a sequential loop of borrowed single-shard
-    /// queries, with per-item stats merging to the batch size.
+    /// bitwise equal to a sequential loop of single queries on the
+    /// `from_parts` reference, with per-item stats merging to the batch
+    /// size.
     #[test]
     fn shard_grid_batches_are_bitwise_identical(
         size in 25usize..60,
@@ -175,22 +180,17 @@ proptest! {
     ) {
         let db = clustered_db(size, seed);
         let store = TrajStore::from(db.clone());
-        let tree = TrajTree::build(&store);
+        let reference = Session::from_parts(store.clone(), TrajTree::build(&store));
         let k = 5usize;
         let eps = manual_scan(store.iter(), &queries[0], Metric::Edwp)[size / 2].distance;
         for metric in [Metric::Edwp, Metric::EdwpNormalized] {
             let seq_knn: Vec<Vec<Neighbor>> = queries
                 .iter()
-                .map(|q| QueryBuilder::over(&tree, &store, q).metric(metric).knn(k).neighbors)
+                .map(|q| reference.query(q).metric(metric).knn(k).neighbors)
                 .collect();
             let seq_range: Vec<Vec<Neighbor>> = queries
                 .iter()
-                .map(|q| {
-                    QueryBuilder::over(&tree, &store, q)
-                        .metric(metric)
-                        .range(eps)
-                        .neighbors
-                })
+                .map(|q| reference.query(q).metric(metric).range(eps).neighbors)
                 .collect();
             for shards in [1usize, 2, 4] {
                 let session = Session::builder()
@@ -229,7 +229,7 @@ proptest! {
         query in query_shape(2, 6),
         shards in 1usize..4,
     ) {
-        let mut session = Session::builder()
+        let session = Session::builder()
             .shards(shards)
             .build(TrajStore::from(db));
         for t in extra {
@@ -242,23 +242,41 @@ proptest! {
     }
 }
 
-/// The scratch modifier changes where intermediate state lives, never the
-/// answer: pooled and fresh-scratch runs are bitwise identical.
+/// Each thread pools one kernel scratch across every query it runs:
+/// queries of mixed sizes answered on one thread's warm pool are bitwise
+/// identical to the same queries answered on a fresh thread (fresh pool).
 #[test]
 fn pooled_scratch_does_not_change_results() {
-    let store = TrajStore::from(clustered_db(50, 11));
-    let tree = TrajTree::build(&store);
-    let mut scratch = EdwpScratch::new();
+    let session = Session::builder()
+        .shards(2)
+        .build(TrajStore::from(clustered_db(50, 11)));
     let mut g = TrajGen::new(3);
+    let queries: Vec<Trajectory> = [7usize, 3, 12, 2, 9, 5]
+        .iter()
+        .map(|&n| g.random_walk(n))
+        .collect();
     for metric in [Metric::Edwp, Metric::EdwpNormalized] {
-        for _ in 0..6 {
-            let q = g.random_walk(7);
-            let pooled = QueryBuilder::over(&tree, &store, &q)
-                .metric(metric)
-                .scratch(&mut scratch)
-                .knn(5);
-            let fresh = QueryBuilder::over(&tree, &store, &q).metric(metric).knn(5);
-            assert_eq!(pooled, fresh);
+        for q in &queries {
+            for parallel in [false, true] {
+                let pooled = session
+                    .query(q)
+                    .metric(metric)
+                    .parallel_scatter(parallel)
+                    .knn(5);
+                let fresh = std::thread::scope(|scope| {
+                    scope
+                        .spawn(|| {
+                            session
+                                .query(q)
+                                .metric(metric)
+                                .parallel_scatter(parallel)
+                                .knn(5)
+                        })
+                        .join()
+                        .expect("fresh-thread query panicked")
+                });
+                assert_eq!(pooled, fresh);
+            }
         }
     }
 }

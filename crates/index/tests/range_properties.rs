@@ -7,36 +7,24 @@
 //! * batch `.knn(k)` / `.range(eps)` are bitwise identical to a sequential
 //!   loop of single queries, for any worker count.
 //!
-//! Exercises the borrowed [`QueryBuilder::over`] / [`BatchQueryBuilder::over`]
-//! entry points, below the session/shard layer; the sharded surface is
+//! Runs on one-shard sessions ([`Session::build`]); the sharded surface is
 //! tied to these in `tests/builder_equivalence.rs`.
 
 use proptest::prelude::*;
 use traj_core::{StPoint, TotalF64, Trajectory};
 use traj_dist::edwp;
 use traj_gen::{GenConfig, TrajGen};
-use traj_index::{BatchQueryBuilder, Neighbor, QueryBuilder, QueryStats, TrajStore, TrajTree};
+use traj_index::{Neighbor, QueryStats, Session, TrajStore};
 
-/// Index range search through the borrowed builder, with stats.
-fn range(
-    tree: &TrajTree,
-    store: &TrajStore,
-    query: &Trajectory,
-    eps: f64,
-) -> (Vec<Neighbor>, QueryStats) {
-    let r = QueryBuilder::over(tree, store, query)
-        .collect_stats()
-        .range(eps);
+/// Index range search, with stats.
+fn range(session: &Session, query: &Trajectory, eps: f64) -> (Vec<Neighbor>, QueryStats) {
+    let r = session.query(query).collect_stats().range(eps);
     (r.neighbors, r.stats.expect("collect_stats() requested"))
 }
 
 /// Reference linear scan through the same builder with pruning disabled.
-fn brute_force_range(store: &TrajStore, query: &Trajectory, eps: f64) -> Vec<Neighbor> {
-    let tree = TrajTree::default();
-    QueryBuilder::over(&tree, store, query)
-        .brute_force()
-        .range(eps)
-        .neighbors
+fn brute_force_range(session: &Session, query: &Trajectory, eps: f64) -> Vec<Neighbor> {
+    session.query(query).brute_force().range(eps).neighbors
 }
 
 /// A uniformly random trajectory in a 100×100 region.
@@ -93,14 +81,14 @@ fn quantile_eps(store: &TrajStore, query: &Trajectory, sel: f64) -> f64 {
     ds[((sel * (ds.len() - 1) as f64) as usize).min(ds.len() - 1)]
 }
 
-fn assert_range_exact(store: &TrajStore, tree: &TrajTree, query: &Trajectory, eps: f64) {
-    let (got, stats) = range(tree, store, query, eps);
+fn assert_range_exact(store: &TrajStore, session: &Session, query: &Trajectory, eps: f64) {
+    let (got, stats) = range(session, query, eps);
     let manual = manual_range_filter(store, query, eps);
     assert_eq!(
         got, manual,
         "eps={eps}: index range diverged from the manual filter"
     );
-    assert_eq!(got, brute_force_range(store, query, eps));
+    assert_eq!(got, brute_force_range(session, query, eps));
     for w in got.windows(2) {
         assert!(
             (w[0].distance, w[0].id) < (w[1].distance, w[1].id),
@@ -125,12 +113,12 @@ proptest! {
         sel in 0.0..1.0f64,
     ) {
         let store = TrajStore::from(db);
-        let tree = TrajTree::build(&store);
+        let session = Session::build(store.clone());
         let eps = quantile_eps(&store, &query, sel);
-        assert_range_exact(&store, &tree, &query, eps);
+        assert_range_exact(&store, &session, &query, eps);
         // The edges hold on every generated instance too.
-        assert_range_exact(&store, &tree, &query, 0.0);
-        assert_range_exact(&store, &tree, &query, f64::INFINITY);
+        assert_range_exact(&store, &session, &query, 0.0);
+        assert_range_exact(&store, &session, &query, f64::INFINITY);
         prop_assert!(true);
     }
 
@@ -142,11 +130,11 @@ proptest! {
         sel in 0.0..1.0f64,
     ) {
         let store = TrajStore::from(clustered_db(size, seed));
-        let tree = TrajTree::build(&store);
+        let session = Session::build(store.clone());
         let eps = quantile_eps(&store, &query, sel);
-        assert_range_exact(&store, &tree, &query, eps);
-        assert_range_exact(&store, &tree, &query, 0.0);
-        assert_range_exact(&store, &tree, &query, f64::INFINITY);
+        assert_range_exact(&store, &session, &query, eps);
+        assert_range_exact(&store, &session, &query, 0.0);
+        assert_range_exact(&store, &session, &query, f64::INFINITY);
         prop_assert!(true);
     }
 }
@@ -156,10 +144,10 @@ proptest! {
 #[test]
 fn range_zero_eps_finds_exact_members() {
     let store = TrajStore::from(clustered_db(60, 3));
-    let tree = TrajTree::build(&store);
+    let session = Session::build(store.clone());
     for id in [0u32, 17, 41] {
         let member = store.get(id).clone();
-        let (got, _) = range(&tree, &store, &member, 0.0);
+        let (got, _) = range(&session, &member, 0.0);
         assert!(got.iter().any(|n| n.id == id), "member {id} not found");
         assert!(got.iter().all(|n| n.distance == 0.0));
         assert_eq!(got, manual_range_filter(&store, &member, 0.0));
@@ -170,10 +158,10 @@ fn range_zero_eps_finds_exact_members() {
 #[test]
 fn range_infinite_eps_returns_whole_db() {
     let store = TrajStore::from(clustered_db(45, 11));
-    let tree = TrajTree::build(&store);
+    let session = Session::build(store.clone());
     let mut g = TrajGen::new(8);
     let query = g.random_walk(6);
-    let (got, _) = range(&tree, &store, &query, f64::INFINITY);
+    let (got, _) = range(&session, &query, f64::INFINITY);
     assert_eq!(got.len(), store.len());
     assert_eq!(got, manual_range_filter(&store, &query, f64::INFINITY));
 }
@@ -183,7 +171,7 @@ fn range_infinite_eps_returns_whole_db() {
 #[test]
 fn batch_queries_are_bitwise_identical_to_sequential() {
     let store = TrajStore::from(clustered_db(100, 23));
-    let tree = TrajTree::build(&store);
+    let session = Session::build(store.clone());
     let mut g = TrajGen::with_config(
         51,
         GenConfig {
@@ -197,16 +185,17 @@ fn batch_queries_are_bitwise_identical_to_sequential() {
 
     let seq_knn: Vec<Vec<Neighbor>> = queries
         .iter()
-        .map(|q| QueryBuilder::over(&tree, &store, q).knn(6).neighbors)
+        .map(|q| session.query(q).knn(6).neighbors)
         .collect();
     let eps = quantile_eps(&store, &queries[0], 0.3);
     let seq_range: Vec<Vec<Neighbor>> = queries
         .iter()
-        .map(|q| QueryBuilder::over(&tree, &store, q).range(eps).neighbors)
+        .map(|q| session.query(q).range(eps).neighbors)
         .collect();
 
     for threads in [1usize, 2, 4, 7] {
-        let res = BatchQueryBuilder::over(&tree, &store, &queries)
+        let res = session
+            .batch(&queries)
             .threads(threads)
             .collect_stats()
             .knn(6);
@@ -221,7 +210,8 @@ fn batch_queries_are_bitwise_identical_to_sequential() {
         // Merged db_size sums the per-query database sizes.
         assert_eq!(knn_stats.db_size, store.len() * queries.len());
 
-        let res = BatchQueryBuilder::over(&tree, &store, &queries)
+        let res = session
+            .batch(&queries)
             .threads(threads)
             .collect_stats()
             .range(eps);
@@ -239,18 +229,15 @@ fn batch_queries_are_bitwise_identical_to_sequential() {
 #[test]
 fn batch_stats_equal_summed_sequential_stats() {
     let store = TrajStore::from(clustered_db(80, 5));
-    let tree = TrajTree::build(&store);
+    let session = Session::build(store.clone());
     let mut g = TrajGen::new(77);
     let queries: Vec<Trajectory> = (0..9).map(|_| g.random_walk(6)).collect();
 
     let mut want = QueryStats::default();
     for q in &queries {
-        let r = QueryBuilder::over(&tree, &store, q).collect_stats().knn(4);
+        let r = session.query(q).collect_stats().knn(4);
         want.merge(&r.stats.expect("requested"));
     }
-    let got = BatchQueryBuilder::over(&tree, &store, &queries)
-        .threads(4)
-        .collect_stats()
-        .knn(4);
+    let got = session.batch(&queries).threads(4).collect_stats().knn(4);
     assert_eq!(got.stats.expect("requested"), want);
 }

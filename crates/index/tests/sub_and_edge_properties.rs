@@ -124,7 +124,7 @@ proptest! {
                 .collect();
 
             for shards in [1usize, 2, 4] {
-                let mut session = Session::builder()
+                let session = Session::builder()
                     .shards(shards)
                     .build(TrajStore::from(db.clone()));
                 for parallel in [false, true] {
@@ -181,7 +181,7 @@ proptest! {
         probe in trajectory(2, 4),
         shards in 1usize..4,
     ) {
-        let mut session = Session::builder().shards(shards).build(TrajStore::from(db));
+        let session = Session::builder().shards(shards).build(TrajStore::from(db));
         for t in extra {
             session.insert(t).expect("in-memory insert");
         }
@@ -206,7 +206,7 @@ proptest! {
         let db = clustered_db(size, seed);
         for mode in [QueryMode::Whole, QueryMode::Sub] {
             for eps in [0.0f64, -0.0, -7.5, f64::NAN, f64::INFINITY] {
-                let mut session = Session::builder().shards(2).build(TrajStore::from(db.clone()));
+                let session = Session::builder().shards(2).build(TrajStore::from(db.clone()));
                 let indexed = session.query(&query).mode(mode).range(eps);
                 let brute = session.query(&query).mode(mode).brute_force().range(eps);
                 let batch = session
@@ -267,7 +267,7 @@ fn degenerate_queries_are_exact_in_every_mode() {
     ];
 
     for shards in [1usize, 3] {
-        let mut session = Session::builder()
+        let session = Session::builder()
             .shards(shards)
             .build(TrajStore::from(db.clone()));
         for query in &degenerate_queries {
@@ -344,7 +344,7 @@ fn shards_zero_clamps_to_a_working_single_shard() {
 #[test]
 fn sub_mode_prunes_over_half_the_database_on_clustered_data() {
     let db = clustered_db(160, 29);
-    let mut session = Session::build(TrajStore::from(db.clone()));
+    let session = Session::build(TrajStore::from(db.clone()));
     let mut g = TrajGen::new(0xAB);
     let snap = session.snapshot();
     // Probes: distorted *portions* of stored trips — the partial-trip

@@ -22,7 +22,7 @@ fn main() {
         },
     );
     let store = TrajStore::from(gen.database(400, 8, 18));
-    let mut session = Session::builder().shards(2).build(store);
+    let session = Session::builder().shards(2).build(store);
     let snap = session.snapshot();
     println!("database: {} trips across 2 shards", snap.len());
 

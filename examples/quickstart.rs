@@ -24,7 +24,7 @@ fn main() {
 
     // 2. Open a session: bulk-loads the TrajTree and pools the kernel
     //    scratch every query of this session reuses.
-    let mut session = Session::build(store);
+    let session = Session::build(store);
     let snap = session.snapshot();
     println!(
         "index:    height {}, {} nodes, leaf capacity {}",
@@ -114,7 +114,7 @@ fn main() {
     //    database across 4 shards and every answer is bit-for-bit the
     //    same — queries scatter over the shards under one global pruning
     //    threshold and gather into one result.
-    let mut sharded = Session::builder().shards(4).build(session.into_store());
+    let sharded = Session::builder().shards(4).build(session.into_store());
     let sharded_top = sharded.query(&query).knn(k);
     assert_eq!(
         sharded_top.neighbors, result.neighbors,

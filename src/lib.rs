@@ -17,7 +17,7 @@
 //!   results are exact on either path;
 //! * the query surface: a sharded [`Session`] (built via
 //!   [`Session::builder`] with `.shards(n)`, default 1) owning per-shard
-//!   [`TrajStore`] segments, [`TrajTree`] indexes and pooled scratch,
+//!   [`TrajStore`] segments and [`TrajTree`] indexes,
 //!   queried through the typed [`QueryBuilder`] / [`BatchQueryBuilder`] —
 //!   `session.query(&q).knn(10)`, `.range(eps)`,
 //!   `session.batch(&qs).threads(4).knn(k)` — with a pluggable [`Metric`]
@@ -96,7 +96,7 @@ mod tests {
     fn facade_smoke_end_to_end() {
         let mut g = TrajGen::new(1);
         let store = TrajStore::from(g.database(30, 4, 8));
-        let mut session = Session::build(store);
+        let session = Session::build(store);
         let query = g.random_walk(6);
 
         let res = session.query(&query).collect_stats().knn(3);
