@@ -1,5 +1,6 @@
 //! Distance-kernel microbenchmarks: the EDwP dynamic program at several
-//! trajectory sizes, and the box bounds that let the index avoid it.
+//! trajectory sizes, the box bounds that let the index avoid it, and the
+//! tBoxSeq merge that builds every TrajTree node summary.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use traj_bench::{make_queries, make_store};
@@ -82,5 +83,28 @@ fn bounds_vs_full(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, edwp_scaling, bounds_vs_full);
+/// The construction kernel (`createTBoxSeq`, Sec. V): one trip merged into
+/// a node summary built at the default TrajTree budgets — a leaf summary
+/// (at most 24 boxes) over 8 members and an internal summary (at most 12)
+/// over 64. Bulk loads and Alg. 1 inserts spend their time here.
+fn merge_trajectory(c: &mut Criterion) {
+    let store = make_store(80);
+    let summary = |members: usize, max_boxes: usize| {
+        BoxSeq::from_trajectories((0..members as u32).map(|id| store.get(id)), Some(max_boxes))
+            .expect("at least one member")
+    };
+    let leaf = summary(8, 24);
+    let internal = summary(64, 12);
+    let t = store.get(79);
+    let mut group = c.benchmark_group("merge_trajectory");
+    group.bench_function("leaf", |b| {
+        b.iter(|| black_box(leaf.merge_trajectory(t)));
+    });
+    group.bench_function("internal", |b| {
+        b.iter(|| black_box(internal.merge_trajectory(t)));
+    });
+    group.finish();
+}
+
+criterion_group!(benches, edwp_scaling, bounds_vs_full, merge_trajectory);
 criterion_main!(benches);

@@ -6,8 +6,9 @@
 //! trajectory contributes one (degenerate) box per segment; every further
 //! trajectory is aligned against the running sequence with
 //! [`align_boxes`] — the box-mode `EDwP_sub` dynamic program with
-//! traceback — and one st-box is emitted per replace operation, exactly as
-//! described under "Constructing tBoxSeqs".
+//! traceback — and every box the alignment consumed is grown to cover the
+//! pieces matched to it: one output box per consumed input box, never one
+//! per replace operation (see [`BoxSeq::merge_trajectory`] for why).
 //!
 //! [`edwp_sub_boxes`] is the value-only variant of the alignment cost; the
 //! TrajTree index prunes with [`edwp_lower_bound_boxes`] instead.
@@ -20,7 +21,8 @@
 //! several query segments (the box-split `ins(B, T)` edit), the `minL` term
 //! is charged only on the step that advances past the box — charging it on
 //! every stay-step can exceed the coverage of the corresponding true
-//! alignment, which would break admissibility. See `DESIGN.md` §5.
+//! alignment, which would break admissibility (the `ins` into B relaxation
+//! in `run_box_dp`).
 //!
 //! Even so, [`edwp_sub_boxes`] is only *approximately* admissible: its
 //! interpolated DP anchors are canonical (the point of a segment closest to
@@ -143,9 +145,14 @@ impl BoxSeq {
     /// `EDwP` of a member and break the Theorem 2 lower bound (observed as
     /// large admissibility violations in the property tests).
     pub fn merge_trajectory(&self, t: &Trajectory) -> BoxSeq {
-        let alignment = align_boxes(t, self);
-        let first_used = alignment.ops.iter().map(|o| o.box_idx).min();
-        let last_used = alignment.ops.iter().map(|o| o.box_idx).max();
+        self.grow_by_ops(&align_boxes(t, self).ops)
+    }
+
+    /// The merge step of [`BoxSeq::merge_trajectory`]: grows every box an
+    /// alignment consumed by the pieces matched to it.
+    fn grow_by_ops(&self, ops: &[RepOp]) -> BoxSeq {
+        let first_used = ops.iter().map(|o| o.box_idx).min();
+        let last_used = ops.iter().map(|o| o.box_idx).max();
         let (first_used, last_used) = match (first_used, last_used) {
             (Some(f), Some(l)) => (f, l),
             _ => return self.clone(), // no ops: nothing aligned, keep as-is
@@ -153,7 +160,7 @@ impl BoxSeq {
         let mut out = Vec::with_capacity(self.boxes.len());
         out.extend_from_slice(&self.boxes[..first_used]);
         let mut current: Option<(usize, StBox)> = None;
-        for op in &alignment.ops {
+        for op in ops {
             match &mut current {
                 Some((idx, grown)) if *idx == op.box_idx => grown.expand_to_segment(&op.piece),
                 _ => {
@@ -772,26 +779,39 @@ fn col(j: usize, k: usize) -> usize {
     j * 2 + k
 }
 
-/// The anchor st-point of state `(i, j, INTERP)`: the point on segment `i`
-/// of `t` closest to box `j - 1` (the last consumed box).
-fn interp_anchor(t: &Trajectory, boxes: &[StBox], i: usize, j: usize) -> StPoint {
-    let seg = t.segment(i);
-    let (param, _) = boxes[j - 1].closest_param_on_segment(&seg);
-    seg.point_at(param)
+/// The interpolated anchors of the box-mode DP, one per (segment, box)
+/// pair: `anchors[i · |B| + j]` is the point of segment `i` of `t` closest
+/// to box `j` (the generalised reverse projection of Sec. IV-A).
+///
+/// State `(i, j, INTERP)` is anchored at entry `(i, j − 1)` — the point
+/// closest to the last consumed box — and the `ins` split of state
+/// `(i, j, ·)` is entry `(i, j)`. Each pair is needed by up to three DP
+/// relaxations and again by the traceback, so it is computed once here.
+fn anchor_table(t: &Trajectory, boxes: &[StBox]) -> Vec<StPoint> {
+    let mut anchors = Vec::with_capacity(t.num_segments() * boxes.len());
+    for seg in t.segments() {
+        anchors.extend(
+            boxes
+                .iter()
+                .map(|b| seg.point_at(b.closest_param_on_segment(&seg).0)),
+        );
+    }
+    anchors
 }
 
 /// Value-only `EDwP_sub(t, B)` between a trajectory and a box sequence —
 /// the TrajTree lower bound. Runs in `O(|t| · |B|)`.
 pub fn edwp_sub_boxes(t: &Trajectory, seq: &BoxSeq) -> f64 {
-    run_box_dp(t, seq, None)
+    run_box_dp(t, seq, &anchor_table(t, seq.boxes()), None)
 }
 
 /// `EDwP_sub(t, B)` with traceback: returns the cost and the replace
 /// operations of an optimal alignment.
 pub fn align_boxes(t: &Trajectory, seq: &BoxSeq) -> BoxAlignment {
+    let anchors = anchor_table(t, seq.boxes());
     let mut trace = TraceTable::new(t.num_points(), seq.len());
-    let cost = run_box_dp(t, seq, Some(&mut trace));
-    let ops = trace.reconstruct(t, seq);
+    let cost = run_box_dp(t, seq, &anchors, Some(&mut trace));
+    let ops = trace.reconstruct(t, seq.len(), &anchors);
     BoxAlignment { cost, ops }
 }
 
@@ -837,8 +857,9 @@ impl TraceTable {
     }
 
     /// Walks parents back from the best terminal state (recorded by
-    /// `run_box_dp`), emitting the rep pieces in forward order.
-    fn reconstruct(&self, t: &Trajectory, seq: &BoxSeq) -> Vec<RepOp> {
+    /// `run_box_dp`), emitting the rep pieces in forward order. `anchors`
+    /// is the [`anchor_table`] the DP ran with.
+    fn reconstruct(&self, t: &Trajectory, kboxes: usize, anchors: &[StPoint]) -> Vec<RepOp> {
         let (mut i, mut j, mut k) = self.terminal;
         let mut ops_rev = Vec::new();
         loop {
@@ -848,7 +869,7 @@ impl TraceTable {
                 Op::Rep | Op::InsB => {
                     // Piece: from predecessor anchor to p[i] (i advanced).
                     let (pi_, pj_, pk_) = (pi as usize, pj as usize, pk as usize);
-                    let from_pt = anchor_point(t, seq, pi_, pj_, pk_);
+                    let from_pt = anchor_point(t, kboxes, anchors, pi_, pj_, pk_);
                     let to_pt = t.points()[i];
                     ops_rev.push(RepOp {
                         box_idx: if op == Op::Rep { j - 1 } else { j },
@@ -860,8 +881,8 @@ impl TraceTable {
                 }
                 Op::InsT => {
                     let (pi_, pj_, pk_) = (pi as usize, pj as usize, pk as usize);
-                    let from_pt = anchor_point(t, seq, pi_, pj_, pk_);
-                    let to_pt = anchor_point(t, seq, i, j, k);
+                    let from_pt = anchor_point(t, kboxes, anchors, pi_, pj_, pk_);
+                    let to_pt = anchor_point(t, kboxes, anchors, i, j, k);
                     ops_rev.push(RepOp {
                         box_idx: j - 1,
                         piece: Segment::new(from_pt, to_pt),
@@ -877,17 +898,32 @@ impl TraceTable {
     }
 }
 
-/// The anchor st-point of a DP state.
-fn anchor_point(t: &Trajectory, seq: &BoxSeq, i: usize, j: usize, k: usize) -> StPoint {
+/// The anchor st-point of DP state `(i, j, k)`, read from its
+/// [`anchor_table`].
+#[inline]
+fn anchor_point(
+    t: &Trajectory,
+    kboxes: usize,
+    anchors: &[StPoint],
+    i: usize,
+    j: usize,
+    k: usize,
+) -> StPoint {
     if k == AT_SAMPLE {
         t.points()[i]
     } else {
-        interp_anchor(t, seq.boxes(), i, j)
+        anchors[i * kboxes + j - 1]
     }
 }
 
-/// Shared box-mode DP; fills `trace` when provided.
-fn run_box_dp(t: &Trajectory, seq: &BoxSeq, mut trace: Option<&mut TraceTable>) -> f64 {
+/// Shared box-mode DP over a precomputed [`anchor_table`]; fills `trace`
+/// when provided.
+fn run_box_dp(
+    t: &Trajectory,
+    seq: &BoxSeq,
+    anchors: &[StPoint],
+    mut trace: Option<&mut TraceTable>,
+) -> f64 {
     let n = t.num_points();
     let kboxes = seq.len();
     if kboxes == 0 {
@@ -917,7 +953,7 @@ fn run_box_dp(t: &Trajectory, seq: &BoxSeq, mut trace: Option<&mut TraceTable>) 
                 if j >= kboxes || !has_seg {
                     continue; // terminal or dead-end state
                 }
-                let a = anchor_point(t, seq, i, j, k);
+                let a = anchor_point(t, kboxes, anchors, i, j, k);
                 let b = &boxes[j];
                 let e1 = p[i + 1];
                 let bd_a = b.dist_to_point(a.p);
@@ -936,7 +972,7 @@ fn run_box_dp(t: &Trajectory, seq: &BoxSeq, mut trace: Option<&mut TraceTable>) 
                 }
                 // ins into t: split segment i at its closest point to box
                 // j; consume the box against the split piece.
-                let pi_pt = interp_anchor(t, boxes, i, j + 1);
+                let pi_pt = anchors[i * kboxes + j];
                 let bd_pi = b.dist_to_point(pi_pt.p);
                 let ins_t = (bd_a + bd_pi) * (a.dist(pi_pt) + b.min_len);
                 if dp.relax(i, col(j + 1, INTERP), base + ins_t) {
@@ -973,6 +1009,172 @@ fn run_box_dp(t: &Trajectory, seq: &BoxSeq, mut trace: Option<&mut TraceTable>) 
         tr.terminal = best_state;
     }
     best
+}
+
+/// The box-mode DP as it ran before the [`anchor_table`]: every relaxation
+/// and every traceback step recomputes its interpolated anchors. Kept as
+/// the bitwise reference the table-driven DP is tested against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// The anchor st-point of state `(i, j, INTERP)`: the point on segment
+    /// `i` of `t` closest to box `j - 1` (the last consumed box).
+    fn interp_anchor(t: &Trajectory, boxes: &[StBox], i: usize, j: usize) -> StPoint {
+        let seg = t.segment(i);
+        let (param, _) = boxes[j - 1].closest_param_on_segment(&seg);
+        seg.point_at(param)
+    }
+
+    /// The anchor st-point of a DP state.
+    fn anchor_point(t: &Trajectory, seq: &BoxSeq, i: usize, j: usize, k: usize) -> StPoint {
+        if k == AT_SAMPLE {
+            t.points()[i]
+        } else {
+            interp_anchor(t, seq.boxes(), i, j)
+        }
+    }
+
+    /// Reference [`align_boxes`].
+    pub(super) fn align_boxes(t: &Trajectory, seq: &BoxSeq) -> BoxAlignment {
+        let mut trace = TraceTable::new(t.num_points(), seq.len());
+        let cost = run_box_dp(t, seq, Some(&mut trace));
+        let ops = reconstruct(&trace, t, seq);
+        BoxAlignment { cost, ops }
+    }
+
+    /// Reference [`BoxSeq::merge_trajectory`].
+    pub(super) fn merge_trajectory(seq: &BoxSeq, t: &Trajectory) -> BoxSeq {
+        seq.grow_by_ops(&align_boxes(t, seq).ops)
+    }
+
+    /// Reference [`BoxSeq::from_trajectories`].
+    pub(super) fn from_trajectories(trajs: &[Trajectory], max_boxes: Option<usize>) -> BoxSeq {
+        let mut seq = BoxSeq::from_trajectory(&trajs[0]);
+        seq.coalesce(max_boxes);
+        for t in &trajs[1..] {
+            seq = merge_trajectory(&seq, t);
+            seq.coalesce(max_boxes);
+        }
+        seq
+    }
+
+    fn reconstruct(trace: &TraceTable, t: &Trajectory, seq: &BoxSeq) -> Vec<RepOp> {
+        let (mut i, mut j, mut k) = trace.terminal;
+        let mut ops_rev = Vec::new();
+        loop {
+            let (op, pi, pj, pk) = trace.get(i, j, k);
+            match op {
+                Op::Start | Op::None => break,
+                Op::Rep | Op::InsB => {
+                    let (pi_, pj_, pk_) = (pi as usize, pj as usize, pk as usize);
+                    let from_pt = anchor_point(t, seq, pi_, pj_, pk_);
+                    let to_pt = t.points()[i];
+                    ops_rev.push(RepOp {
+                        box_idx: if op == Op::Rep { j - 1 } else { j },
+                        piece: Segment::new(from_pt, to_pt),
+                    });
+                    i = pi_;
+                    j = pj_;
+                    k = pk_;
+                }
+                Op::InsT => {
+                    let (pi_, pj_, pk_) = (pi as usize, pj as usize, pk as usize);
+                    let from_pt = anchor_point(t, seq, pi_, pj_, pk_);
+                    let to_pt = anchor_point(t, seq, i, j, k);
+                    ops_rev.push(RepOp {
+                        box_idx: j - 1,
+                        piece: Segment::new(from_pt, to_pt),
+                    });
+                    i = pi_;
+                    j = pj_;
+                    k = pk_;
+                }
+            }
+        }
+        ops_rev.reverse();
+        ops_rev
+    }
+
+    fn run_box_dp(t: &Trajectory, seq: &BoxSeq, mut trace: Option<&mut TraceTable>) -> f64 {
+        let n = t.num_points();
+        let kboxes = seq.len();
+        if kboxes == 0 {
+            return f64::INFINITY;
+        }
+        let boxes = seq.boxes();
+        let p = t.points();
+        let inf = f64::INFINITY;
+        let cols = (kboxes + 1) * 2;
+        let mut dp = Matrix::filled(n, cols, inf);
+        for j in 0..kboxes {
+            dp.set(0, col(j, AT_SAMPLE), 0.0);
+            if let Some(tr) = trace.as_deref_mut() {
+                tr.set(0, j, AT_SAMPLE, (Op::Start, 0, 0, 0));
+            }
+        }
+
+        for i in 0..n {
+            let has_seg = i + 1 < n;
+            for j in 0..=kboxes {
+                for k in [AT_SAMPLE, INTERP] {
+                    let base = dp.get(i, col(j, k));
+                    if !base.is_finite() {
+                        continue;
+                    }
+                    if j >= kboxes || !has_seg {
+                        continue;
+                    }
+                    let a = anchor_point(t, seq, i, j, k);
+                    let b = &boxes[j];
+                    let e1 = p[i + 1];
+                    let bd_a = b.dist_to_point(a.p);
+                    let bd_e1 = b.dist_to_point(e1.p);
+                    let rep = (bd_a + bd_e1) * (a.dist(e1) + b.min_len);
+                    if dp.relax(i + 1, col(j + 1, AT_SAMPLE), base + rep) {
+                        if let Some(tr) = trace.as_deref_mut() {
+                            tr.set(
+                                i + 1,
+                                j + 1,
+                                AT_SAMPLE,
+                                (Op::Rep, i as u32, j as u32, k as u8),
+                            );
+                        }
+                    }
+                    let pi_pt = interp_anchor(t, boxes, i, j + 1);
+                    let bd_pi = b.dist_to_point(pi_pt.p);
+                    let ins_t = (bd_a + bd_pi) * (a.dist(pi_pt) + b.min_len);
+                    if dp.relax(i, col(j + 1, INTERP), base + ins_t) {
+                        if let Some(tr) = trace.as_deref_mut() {
+                            tr.set(i, j + 1, INTERP, (Op::InsT, i as u32, j as u32, k as u8));
+                        }
+                    }
+                    let ins_b = (bd_a + bd_e1) * a.dist(e1);
+                    if dp.relax(i + 1, col(j, AT_SAMPLE), base + ins_b) {
+                        if let Some(tr) = trace.as_deref_mut() {
+                            tr.set(i + 1, j, AT_SAMPLE, (Op::InsB, i as u32, j as u32, k as u8));
+                        }
+                    }
+                }
+            }
+        }
+
+        let mut best = inf;
+        let mut best_state = (n - 1, 0, AT_SAMPLE);
+        for j in 0..=kboxes {
+            for k in [AT_SAMPLE, INTERP] {
+                let v = dp.get(n - 1, col(j, k));
+                if v < best {
+                    best = v;
+                    best_state = (n - 1, j, k);
+                }
+            }
+        }
+        if let Some(tr) = trace {
+            tr.terminal = best_state;
+        }
+        best
+    }
 }
 
 #[cfg(test)]
@@ -1173,5 +1375,129 @@ mod tests {
         let seq = BoxSeq::from_trajectories([&t1, &t2].into_iter(), None).unwrap();
         let q = t(&[(4.0, 5.0), (5.0, 5.0), (6.0, 5.0)]);
         assert!(approx_eq(edwp_sub_boxes(&q, &seq), 0.0));
+    }
+
+    /// The bits of an st-point, so `-0.0` and `0.0` (equal as floats)
+    /// count as different.
+    fn pt_bits(p: StPoint) -> [u64; 3] {
+        [p.p.x.to_bits(), p.p.y.to_bits(), p.t.to_bits()]
+    }
+
+    fn ops_bits(ops: &[RepOp]) -> Vec<(usize, [u64; 3], [u64; 3])> {
+        ops.iter()
+            .map(|o| (o.box_idx, pt_bits(o.piece.a), pt_bits(o.piece.b)))
+            .collect()
+    }
+
+    fn seq_bits(seq: &BoxSeq) -> Vec<[u64; 5]> {
+        seq.boxes()
+            .iter()
+            .map(|b| {
+                [
+                    b.lo.x.to_bits(),
+                    b.lo.y.to_bits(),
+                    b.hi.x.to_bits(),
+                    b.hi.y.to_bits(),
+                    b.min_len.to_bits(),
+                ]
+            })
+            .collect()
+    }
+
+    /// One trip of a cluster: the shared base path (grid units) plus this
+    /// trip's per-point jitter, rendered in one of four shapes, with one
+    /// sample optionally repeated (a zero-length segment).
+    fn cluster_trip(
+        base: &[(i32, i32)],
+        jitter: &[(i32, i32)],
+        repeat: usize,
+        shape: u32,
+    ) -> Trajectory {
+        let mut pts: Vec<(f64, f64)> = base
+            .iter()
+            .zip(jitter.iter().cycle())
+            .map(|(&(x, y), &(jx, jy))| {
+                let (x, y, jx, jy) = (x as f64, y as f64, jx as f64, jy as f64);
+                match shape {
+                    // On the grid: pieces run along, touch and cross box
+                    // edges exactly.
+                    0 => (5.0 * x + jx, 5.0 * y + jy),
+                    // Off the grid: the generic position.
+                    1 => (5.0 * x + 0.37 * jx, 5.0 * y - 0.61 * jy),
+                    // Straight along x: collinear boxes and pieces.
+                    2 => (5.0 * x + jx, 5.0 * base[0].1 as f64),
+                    // Stationary: every segment has zero length.
+                    _ => (5.0 * base[0].0 as f64, 5.0 * base[0].1 as f64),
+                }
+            })
+            .collect();
+        if repeat < pts.len() {
+            pts.insert(repeat, pts[repeat]);
+        }
+        t(&pts)
+    }
+
+    /// Asserts the table-driven alignment equals the reference bit for bit.
+    fn assert_alignment_matches(q: &Trajectory, seq: &BoxSeq) -> Result<(), TestCaseError> {
+        let fast = align_boxes(q, seq);
+        let slow = reference::align_boxes(q, seq);
+        prop_assert_eq!(fast.cost.to_bits(), slow.cost.to_bits());
+        prop_assert_eq!(ops_bits(&fast.ops), ops_bits(&slow.ops));
+        prop_assert_eq!(edwp_sub_boxes(q, seq).to_bits(), slow.cost.to_bits());
+        prop_assert_eq!(
+            seq_bits(&seq.merge_trajectory(q)),
+            seq_bits(&reference::merge_trajectory(seq, q))
+        );
+        Ok(())
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The anchor table changes no alignment, merge or built sequence:
+        /// clustered trips against their own bulk, coalesced, merged and
+        /// point-box sequences. The DP has no ISA-dispatched step, so the
+        /// result is the same under both kernel dispatches (the suite runs
+        /// under each).
+        #[test]
+        fn anchor_table_dp_matches_per_state_reference(
+            base in prop::collection::vec((0i32..=12, 0i32..=12), 2..=30),
+            trips in prop::collection::vec(
+                (prop::collection::vec((-2i32..=2, -2i32..=2), 1..=7), 0usize..40, 0u32..4),
+                1..=5,
+            ),
+        ) {
+            let trips: Vec<Trajectory> = trips
+                .iter()
+                .map(|(jitter, repeat, shape)| cluster_trip(&base, jitter, *repeat, *shape))
+                .collect();
+            let first = &trips[0];
+            let mut coalesced = BoxSeq::from_trajectory(first);
+            coalesced.coalesce(Some(4));
+            let point_boxes = BoxSeq::from_boxes(
+                first.points().iter().map(|s| StBox::from_point(s.p)).collect(),
+            );
+            let seqs = [
+                BoxSeq::from_trajectory(first),
+                coalesced,
+                point_boxes,
+                reference::from_trajectories(&trips, None),
+                reference::from_trajectories(&trips, Some(3)),
+            ];
+            for q in &trips {
+                for seq in &seqs {
+                    assert_alignment_matches(q, seq)?;
+                }
+            }
+            for max in [None, Some(3), Some(12), Some(24)] {
+                let built = BoxSeq::from_trajectories(trips.iter(), max).unwrap();
+                prop_assert_eq!(
+                    seq_bits(&built),
+                    seq_bits(&reference::from_trajectories(&trips, max))
+                );
+            }
+        }
     }
 }

@@ -85,9 +85,9 @@ proptest! {
         let after = edwp(&a, &b2);
         // Corollary 2 holds exactly for the true minimum; the dynamic
         // program's canonical anchors shift when points are inserted, so a
-        // documented tolerance is needed (DESIGN.md §5). Scanning 4000
-        // random cases showed deviations up to ~9.5%; tightening the DP's
-        // anchor family below that is an open ROADMAP item.
+        // tolerance is needed (the anchor family is described in the
+        // "Dynamic program" section of the `traj_dist::edwp` module docs).
+        // Scanning 4000 random cases showed deviations up to ~9.5%.
         prop_assert!(after <= before * 1.15 + 1e-6,
             "densifying raised EDwP: {before} -> {after}");
     }

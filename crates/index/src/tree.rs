@@ -508,9 +508,9 @@ fn sort_along_dominant_axis<T>(items: &mut [(T, Point)]) {
     }
 }
 
-/// Re-exported for summary statistics: the overall bounding box of a
-/// node-summary tBoxSeq.
-pub(crate) fn boxseq_bbox(seq: &BoxSeq) -> StBox {
+/// The overall bounding box of a node-summary tBoxSeq; its centre is the
+/// node's sort key in bulk loads and splits.
+fn boxseq_bbox(seq: &BoxSeq) -> StBox {
     let boxes = seq.boxes();
     let mut bb = boxes[0];
     for b in &boxes[1..] {
